@@ -71,7 +71,7 @@ const USAGE: &str = "usage: dryadsynth \
 [--engine coop|enum|deduct|euback|eusolver|cvc4|loopinvgen] \
 [--timeout SECONDS] [--fuel STEPS] [--threads N] [--stats] \
 [--json] [--trace FILE] [--dot FILE] [--profile FILE] [--search-log FILE] \
-[--progress SECS] [--stall-after SECS] [--certify] [--no-smt-sessions] \
+[--progress SECS] [--stall-after SECS] [--certify] \
 [--theory auto|simplex|dl] FILE.sl\n\
        dryadsynth --lint FILE.sl\n\
   --timeout 0 expires the budget immediately (useful for plumbing tests);\n\
@@ -88,8 +88,7 @@ const USAGE: &str = "usage: dryadsynth \
   --stall-after dumps a diagnostic (open span stacks, counters, active\n\
   SMT query size) when no progress counter advances for SECS seconds;\n\
   --certify re-validates solved answers (grammar, sorts, independent SMT)\n\
-  and exits 7 on failure; --no-smt-sessions disables the persistent\n\
-  incremental SMT sessions in the CEGIS loops (for A/B measurement);\n\
+  and exits 7 on failure;\n\
   --theory picks the eager SMT theory engine: auto (default) dispatches\n\
   difference-logic queries to the specialized engine, simplex forces the\n\
   general path, dl prefers difference logic where it fits;\n\
@@ -110,7 +109,6 @@ struct Options {
     progress: Option<Duration>,
     stall_after: Option<Duration>,
     certify: bool,
-    smt_sessions: bool,
     theory: smtkit::TheorySelect,
     lint: Option<String>,
     file: Option<String>,
@@ -131,7 +129,6 @@ fn parse_args() -> Result<Options, String> {
         progress: None,
         stall_after: None,
         certify: false,
-        smt_sessions: true,
         theory: smtkit::TheorySelect::Auto,
         lint: None,
         file: None,
@@ -192,7 +189,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.stall_after = Some(Duration::from_secs_f64(secs));
             }
             "--certify" => opts.certify = true,
-            "--no-smt-sessions" => opts.smt_sessions = false,
             "--theory" => {
                 let v = args.next().ok_or("--theory needs auto|simplex|dl")?;
                 opts.theory = v.parse()?;
@@ -292,7 +288,6 @@ fn main() -> ExitCode {
         engine,
         threads: opts.threads,
         fuel: opts.fuel,
-        smt_sessions: opts.smt_sessions,
         ..DryadSynthConfig::default()
     };
     let solver: Box<dyn Synthesizer> = match opts.engine.as_str() {

@@ -4,8 +4,8 @@
 
 use crate::runtime::{panic_message, Budget, EngineFault};
 use crate::{
-    verify_solution, DeductOutcome, DeductionConfig, DeductiveEngine, Divider, Division,
-    EnumBackend, ExamplePool, FixedHeightResult, TypeBOutcome,
+    DeductOutcome, DeductionConfig, DeductiveEngine, Divider, Division, EnumBackend, ExamplePool,
+    FixedHeightResult, TypeBOutcome,
 };
 use smtkit::{SmtConfig, SmtSession, Validity};
 use std::cmp::Reverse;
@@ -119,30 +119,20 @@ struct Node {
     dead: bool,
 }
 
-/// Verifies unwound candidate solutions. With sessions enabled one
-/// persistent [`SmtSession`] is reused across every check of the run: each
-/// `check_valid` is fully scoped (push, assert the negated formula, pop),
-/// so the root scope never accumulates assertions and the same session is
-/// sound across *different* subproblems — while learned clauses and the
-/// encoding cache survive from one candidate to the next.
+/// Verifies unwound candidate solutions. One persistent [`SmtSession`] is
+/// reused across every check of the run: each `check_valid` is fully scoped
+/// (push, assert the negated formula, pop), so the root scope never
+/// accumulates assertions and the same session is sound across *different*
+/// subproblems — while learned clauses and the encoding cache survive from
+/// one candidate to the next.
+#[derive(Default)]
 struct SessionVerifier {
     session: Mutex<Option<SmtSession>>,
-    enabled: bool,
 }
 
 impl SessionVerifier {
-    fn new(enabled: bool) -> SessionVerifier {
-        SessionVerifier {
-            session: Mutex::new(None),
-            enabled,
-        }
-    }
-
     /// Checks that `body` satisfies `problem`'s constraints on every input.
     fn verify(&self, problem: &Problem, body: &Term, budget: &Budget) -> bool {
-        if !self.enabled {
-            return verify_solution(problem, body, Some(budget));
-        }
         let tracer = budget.tracer().clone();
         let _span = tracer.span(Stage::Verify);
         // A contained panic elsewhere may have poisoned the lock; the
@@ -169,7 +159,7 @@ pub struct CooperativeSolver {
     enumeration_only: bool,
     /// Skip enumeration entirely (the plain-deduction ablation).
     deduction_only: bool,
-    /// Solution verification, session-backed unless sessions are disabled.
+    /// Session-backed solution verification.
     verifier: SessionVerifier,
 }
 
@@ -189,16 +179,8 @@ impl CooperativeSolver {
             max_nodes: 48,
             enumeration_only: false,
             deduction_only: false,
-            verifier: SessionVerifier::new(true),
+            verifier: SessionVerifier::default(),
         }
-    }
-
-    /// Enables or disables the persistent verification SMT session (enabled
-    /// by default); with sessions off, each candidate is verified by a
-    /// from-scratch [`verify_solution`] query.
-    pub fn with_smt_sessions(mut self, enabled: bool) -> CooperativeSolver {
-        self.verifier = SessionVerifier::new(enabled);
-        self
     }
 
     /// The run's resource governor (cancel it to stop the solver).
@@ -658,7 +640,7 @@ fn node_key(p: &Problem) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DivideConfig, FixedHeightBackend, FixedHeightConfig};
+    use crate::{verify_solution, DivideConfig, FixedHeightBackend, FixedHeightConfig};
     use sygus_parser::parse_problem;
 
     fn coop_with_budget(budget: Budget) -> CooperativeSolver {

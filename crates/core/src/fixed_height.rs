@@ -36,10 +36,6 @@ pub struct FixedHeightConfig {
     pub max_cegis_rounds: usize,
     /// Shared resource governor (deadline, cancellation, fuel).
     pub budget: Budget,
-    /// Keep persistent incremental SMT sessions across CEGIS iterations
-    /// (one synthesis and one verification session per height) instead of
-    /// re-solving every query from scratch.
-    pub smt_sessions: bool,
 }
 
 impl Default for FixedHeightConfig {
@@ -49,7 +45,6 @@ impl Default for FixedHeightConfig {
             const_bound: 16,
             max_cegis_rounds: 160,
             budget: Budget::unlimited(),
-            smt_sessions: true,
         }
     }
 }
@@ -146,31 +141,9 @@ impl Encoder {
     }
 }
 
-/// A reusable validity checker for candidate verification: a persistent
-/// [`SmtSession`] (learned clauses and encoding cache shared across the
-/// CEGIS rounds) when sessions are enabled, a fresh one-shot query
-/// otherwise.
-enum CandidateVerifier {
-    Session(Box<SmtSession>),
-    OneShot(SmtSolver),
-}
-
-impl CandidateVerifier {
-    fn new(cfg: &FixedHeightConfig) -> CandidateVerifier {
-        let smt_cfg = SmtConfig::builder().budget(cfg.budget.clone()).build();
-        if cfg.smt_sessions {
-            CandidateVerifier::Session(Box::new(SmtSession::new(smt_cfg)))
-        } else {
-            CandidateVerifier::OneShot(SmtSolver::with_config(smt_cfg))
-        }
-    }
-
-    fn check_valid(&mut self, formula: &Term) -> Result<Validity, SmtError> {
-        match self {
-            CandidateVerifier::Session(s) => s.check_valid(formula),
-            CandidateVerifier::OneShot(s) => s.check_valid(formula),
-        }
-    }
+/// A fresh SMT session under the engine's budget.
+fn new_session(cfg: &FixedHeightConfig) -> SmtSession {
+    SmtSession::new(SmtConfig::builder().budget(cfg.budget.clone()).build())
 }
 
 impl FixedHeightSolver {
@@ -252,85 +225,16 @@ impl FixedHeightSolver {
                 pool.extend(default_examples(problem));
             }
         }
-        if cfg.smt_sessions {
-            return self.solve_at_height_incremental(problem, &cfg, &encoder, &spec, examples);
-        }
-        let smt = SmtSolver::with_config(SmtConfig {
-            budget: cfg.budget.clone(),
-            ..SmtConfig::default()
-        });
-
-        for &coeff_bound in &cfg.coeff_bounds {
-            let mut rounds = 0;
-            loop {
-                if let Some(stop) = self.interrupted() {
-                    return stop;
-                }
-                let _ = cfg.budget.charge_fuel(1);
-                rounds += 1;
-                cfg.budget.tracer().metrics().bump("cegis.rounds");
-                cfg.budget.tracer().progress().note_cegis_round();
-                if rounds > cfg.max_cegis_rounds {
-                    return FixedHeightResult::Failed("CEGIS round limit".into());
-                }
-                // Inductive synthesis: one symbolic query over all examples.
-                let snapshot = examples.lock().clone();
-                let mut conjuncts = Vec::with_capacity(snapshot.len() + 1);
-                for env in &snapshot {
-                    match instantiate_spec(&spec, env, sf.name, &sf.params, &encoder) {
-                        Ok(t) => conjuncts.push(t),
-                        Err(msg) => return FixedHeightResult::Failed(msg),
-                    }
-                }
-                conjuncts.push(encoder.bounds(coeff_bound, cfg.const_bound));
-                let query = Term::and(conjuncts);
-                let model = match smt.check(&query) {
-                    Ok(SmtResult::Sat(m)) => m,
-                    Ok(SmtResult::Unsat) => break, // widen bound / no solution
-                    Err(SmtError::Timeout) => return FixedHeightResult::Timeout,
-                    Err(e) => return FixedHeightResult::Failed(e.to_string()),
-                };
-                let candidate = simplify(&encoder.decode(&model));
-                // Verification (condition 2.4 of the paper).
-                let formula = problem.verification_formula(&candidate);
-                match smt.check_valid(&formula) {
-                    Ok(Validity::Valid) => return FixedHeightResult::Solved(candidate),
-                    Ok(Validity::Invalid(cex)) => match counterexample_env(problem, &cex) {
-                        Some(env) => {
-                            if snapshot.contains(&env) {
-                                // The candidate passed this example yet the
-                                // verifier rejects at the same point:
-                                // evaluation and solving disagree.
-                                return FixedHeightResult::Failed(format!(
-                                    "duplicate counterexample {env} for {candidate}"
-                                ));
-                            }
-                            // Another height's thread may have raced it in.
-                            let mut pool = examples.lock();
-                            if !pool.contains(&env) {
-                                pool.push(env);
-                                cfg.budget.tracer().progress().note_counterexample();
-                            }
-                        }
-                        None => {
-                            return FixedHeightResult::Failed("counterexample outside i64".into())
-                        }
-                    },
-                    Err(SmtError::Timeout) => return FixedHeightResult::Timeout,
-                    Err(e) => return FixedHeightResult::Failed(e.to_string()),
-                }
-            }
-        }
-        FixedHeightResult::NoSolution
+        self.symbolic_cegis(problem, &cfg, &encoder, &spec, examples)
     }
 
-    /// The incremental twin of the symbolic CEGIS loop: one persistent
-    /// synthesis session and one persistent verification session per
-    /// height. Example constraints are asserted exactly once and live at
-    /// the session's root scope; each coefficient bound gets its own
-    /// assertion scope, so widening the bound pops only the bound
-    /// constraint while everything learned from the examples is retained.
-    fn solve_at_height_incremental(
+    /// The symbolic CEGIS loop: one persistent synthesis session and one
+    /// persistent verification session per height. Example constraints are
+    /// asserted exactly once and live at the session's root scope; each
+    /// coefficient bound gets its own assertion scope, so widening the bound
+    /// pops only the bound constraint while everything learned from the
+    /// examples is retained.
+    fn symbolic_cegis(
         &self,
         problem: &Problem,
         cfg: &FixedHeightConfig,
@@ -339,9 +243,8 @@ impl FixedHeightSolver {
         examples: &ExamplePool,
     ) -> FixedHeightResult {
         let sf = &problem.synth_fun;
-        let smt_cfg = || SmtConfig::builder().budget(cfg.budget.clone()).build();
-        let mut synth = SmtSession::new(smt_cfg());
-        let mut verify = SmtSession::new(smt_cfg());
+        let mut synth = new_session(cfg);
+        let mut verify = new_session(cfg);
         fn smt_fail(e: SmtError) -> FixedHeightResult {
             match e {
                 SmtError::Timeout => FixedHeightResult::Timeout,
@@ -463,10 +366,10 @@ impl FixedHeightSolver {
                 pool.extend(default_examples(problem));
             }
         }
-        // One verification engine for the whole CEGIS loop: with sessions
-        // enabled, counterexample queries share learned clauses and the
-        // encoding cache across rounds.
-        let mut smt = CandidateVerifier::new(cfg);
+        // One verification session for the whole CEGIS loop:
+        // counterexample queries share learned clauses and the encoding
+        // cache across rounds.
+        let mut smt = new_session(cfg);
         // Full tree of height h has 2^h − 1 nodes; cap the size budget there.
         let max_size = ((1usize << height.min(6)) - 1).min(31);
         let mut rounds = 0;
@@ -764,6 +667,8 @@ mod tests {
 
     #[test]
     fn solves_max2_at_height_two() {
+        // Session-backed CEGIS; `assert_solved` re-verifies the answer in
+        // a fresh session.
         let t = assert_solved(
             "(set-logic LIA)(synth-fun max2 ((x Int) (y Int)) Int)\
              (declare-var x Int)(declare-var y Int)\
@@ -772,34 +677,6 @@ mod tests {
             2,
         );
         assert!(t.to_string().contains("ite"), "{t}");
-    }
-
-    #[test]
-    fn session_and_one_shot_cegis_agree() {
-        // The incremental (session-backed) CEGIS loop and the from-scratch
-        // one must find a valid solution for the same problems.
-        let src = "(set-logic LIA)(synth-fun max2 ((x Int) (y Int)) Int)\
-             (declare-var x Int)(declare-var y Int)\
-             (constraint (>= (max2 x y) x))(constraint (>= (max2 x y) y))\
-             (constraint (or (= (max2 x y) x) (= (max2 x y) y)))(check-synth)";
-        let p = parse_problem(src).unwrap();
-        for smt_sessions in [true, false] {
-            let s = FixedHeightSolver::new(FixedHeightConfig {
-                smt_sessions,
-                ..FixedHeightConfig::default()
-            });
-            match s.solve(&p, 2) {
-                FixedHeightResult::Solved(t) => {
-                    let formula = p.verification_formula(&t);
-                    assert_eq!(
-                        SmtSolver::new().check_valid(&formula),
-                        Ok(Validity::Valid),
-                        "sessions={smt_sessions}: solution {t} fails re-verification"
-                    );
-                }
-                other => panic!("sessions={smt_sessions}: {other:?}"),
-            }
-        }
     }
 
     #[test]

@@ -240,11 +240,6 @@ pub struct DryadSynthConfig {
     /// steps (CEGIS rounds, enumeration layers, deduction passes), even if
     /// wall-clock time remains.
     pub fuel: Option<u64>,
-    /// Whether CEGIS loops keep persistent incremental SMT sessions
-    /// (learned clauses, encoding cache, warm simplex) across queries
-    /// instead of solving every query from scratch (`--no-smt-sessions`
-    /// disables this for A/B measurement).
-    pub smt_sessions: bool,
 }
 
 impl Default for DryadSynthConfig {
@@ -261,7 +256,6 @@ impl Default for DryadSynthConfig {
             max_nodes: 48,
             loop_summarization: true,
             fuel: None,
-            smt_sessions: true,
         }
     }
 }
@@ -315,7 +309,6 @@ impl DryadSynth {
         }
         let fh = FixedHeightConfig {
             budget: budget.clone(),
-            smt_sessions: self.config.smt_sessions,
             ..FixedHeightConfig::default()
         };
         let backend: Arc<dyn crate::EnumBackend> = match self.config.engine {
@@ -340,8 +333,7 @@ impl DryadSynth {
             backend,
             budget.clone(),
         )
-        .with_max_nodes(self.config.max_nodes)
-        .with_smt_sessions(self.config.smt_sessions);
+        .with_max_nodes(self.config.max_nodes);
         let solver = match self.config.engine {
             Engine::HeightEnumOnly => solver.enumeration_only(),
             Engine::DeductionOnly => solver.deduction_only(),

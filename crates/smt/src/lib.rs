@@ -8,12 +8,12 @@
 //! * [`SatSolver`]: a CDCL SAT core;
 //! * [`Simplex`]: general simplex over the rationals;
 //! * [`check_lia`]: branch-and-bound integer feasibility;
-//! * [`SmtSolver`]: the lazy DPLL(T) loop tying it together, with a
-//!   [`Term`](sygus_ast::Term)-level API: satisfiability checking with model
-//!   extraction and validity checking with counterexamples;
-//! * [`SmtSession`]: a persistent solver with `push`/`pop` assertion scopes
-//!   that retains learned clauses, the encoding cache, and the warm simplex
-//!   tableau across queries — the incremental engine under the CEGIS loops.
+//! * [`SmtSession`]: the lazy DPLL(T) loop tying it together — a persistent
+//!   solver with `push`/`pop` assertion scopes that retains learned clauses,
+//!   the encoding cache, and the warm theory engine across queries;
+//! * [`SmtSolver`]: the one-shot [`Term`](sygus_ast::Term)-level API over a
+//!   fresh session per query: satisfiability checking with model extraction
+//!   and validity checking with counterexamples.
 
 #![warn(missing_docs)]
 
@@ -42,9 +42,7 @@ pub use sat::{
 pub use search::drain_search;
 pub use session::SmtSession;
 pub use simplex::{BoundSide, Simplex, SimplexResult};
-pub use solver::{
-    ClauseGcPolicy, Model, SmtConfig, SmtConfigBuilder, SmtError, SmtResult, SmtSolver, Validity,
-};
+pub use solver::{Model, SmtConfig, SmtConfigBuilder, SmtError, SmtResult, SmtSolver, Validity};
 pub use theory::{
     fits_dl, process_default_theory, set_process_default_theory, TheoryCertificate, TheorySelect,
     TheorySolver,

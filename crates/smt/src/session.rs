@@ -1,16 +1,18 @@
-//! Persistent SMT sessions with scoped assertions — the incremental engine
-//! under the CEGIS loops.
+//! Persistent SMT sessions with scoped assertions — the lazy DPLL(T) loop
+//! behind every query: the CEGIS loops keep one session across queries, and
+//! [`SmtSolver`](crate::SmtSolver) answers each one-shot query in a fresh
+//! one.
 //!
 //! A [`SmtSession`] keeps one CDCL SAT core, one Tseitin/atom encoding
-//! cache, and one warm simplex tableau alive across queries. Assertions are
+//! cache, and one warm theory engine alive across queries. Assertions are
 //! grouped into scopes ([`SmtSession::push`] / [`SmtSession::pop`]),
 //! implemented MiniSat-style with *selector literals*: scope `k` gets a
 //! fresh selector variable `s_k`, every clause asserted inside the scope is
 //! guarded as `¬s_k ∨ C`, and a query solves under the assumptions
 //! `s_1 … s_k` of the open scopes. Popping a scope fixes `¬s_k` at the root
-//! — permanently satisfying (and, under [`ClauseGcPolicy::DropPopped`],
-//! retiring) every clause guarded by it, *including* lemmas learned while
-//! it was open, which carry `¬s_k` by construction.
+//! — permanently satisfying, and then retiring from the SAT core, every
+//! clause guarded by it, *including* lemmas learned while it was open,
+//! which carry `¬s_k` by construction.
 //!
 //! What persists across queries and pops:
 //!
@@ -22,30 +24,47 @@
 //!   variable once, with its defining side constraints asserted globally
 //!   (they are definitional, so they must outlive the scope that first
 //!   mentioned them);
-//! * the incremental rational simplex: new variables and linear forms grow
-//!   the warm tableau in place ([`IncrementalLra::add_var`] /
-//!   [`IncrementalLra::add_atom`]);
+//! * the theory engine: new variables and linear forms grow it in place
+//!   ([`TheorySolver::add_var`] / [`TheorySolver::add_atom`]);
 //! * the static-lemma dedup set, so eager theory lemmas are emitted once.
 //!
-//! Certification (`cfg.certify`) works exactly as in the one-shot
-//! [`SmtSolver`](crate::SmtSolver): `sat` models are re-evaluated with
-//! exact integer arithmetic against the conjunction of the *active*
-//! assertions, and `unsat` answers replay the DRAT trace — extended with
-//! one input unit per open-scope selector, which is precisely the statement
-//! "unsat under these assumptions".
+//! Certification (`cfg.certify`): `sat` models are re-evaluated with exact
+//! integer arithmetic against the conjunction of the *active* assertions,
+//! and `unsat` answers replay the DRAT trace — extended with one input unit
+//! per open-scope selector, which is precisely the statement "unsat under
+//! these assumptions".
 
 use crate::drat::ProofStep;
 use crate::inc_lra::LinearAtom;
 use crate::solver::{
-    add_static_lemmas, certify_sat_model, certify_unsat_steps, poll_budget, retry_rung_counter,
-    Atom, ClauseGcPolicy, Encoder, Model, Purifier, SmtConfig, SmtError, SmtResult, TheoryChecker,
-    TheoryOutcome, Validity, THEORY_PIVOT_CAP,
+    add_static_lemmas, certify_sat_model, certify_unsat_steps, poll_budget, Atom, Encoder, Model,
+    Purifier, SmtConfig, SmtError, SmtResult, TheoryChecker, TheoryOutcome, Validity,
 };
-use crate::theory::{TheorySelect, TheorySolver};
+use crate::theory::{fits_dl, TheorySelect, TheorySolver};
 use crate::{DifferenceLogic, IncrementalLra, Lit, SatResult};
 use std::collections::{BTreeMap, HashSet};
 use sygus_ast::trace::Stage;
 use sygus_ast::{Sort, Symbol, Term};
+
+/// Pivot cap for the *eager* incremental feasibility check consulted from
+/// inside the SAT search. Normal repair takes a handful of pivots; on
+/// tableaus whose rational coefficients explode, the eager check gives up
+/// at the cap and the authoritative (node- and pivot-budgeted) full-model
+/// check decides instead — without this, a single `IncrementalLra::check`
+/// can pivot for minutes while the deadline is never consulted.
+const THEORY_PIVOT_CAP: u64 = 200_000;
+
+/// The static counter name for a retry-ladder rung (allocation-free; the
+/// ladder is short — the default config takes at most 2 escalations).
+fn retry_rung_counter(escalation: u32) -> &'static str {
+    match escalation {
+        1 => "smt.retry.rung1",
+        2 => "smt.retry.rung2",
+        3 => "smt.retry.rung3",
+        4 => "smt.retry.rung4",
+        _ => "smt.retry.rung5+",
+    }
+}
 
 /// One open assertion scope.
 struct Scope {
@@ -81,16 +100,13 @@ pub struct SmtSession {
     scopes: Vec<Scope>,
     /// First-come integer-variable indexing shared by all queries.
     index: BTreeMap<Symbol, usize>,
-    /// Warm theory state, grown as new atoms appear. Under
-    /// [`TheorySelect::Auto`] the session starts on the difference-logic
-    /// engine and migrates (once, permanently) to the warm simplex the
-    /// first time an atom outside the DL fragment is registered.
-    inc: Box<dyn TheorySolver>,
-    /// Every registered atom in registration order — the replay source for
-    /// engine migration.
+    /// Warm theory state, grown as new atoms appear; `None` until the first
+    /// check that sees an atom picks the engine (see
+    /// [`SmtSession::sync_theory`]).
+    inc: Option<Box<dyn TheorySolver>>,
+    /// Every registered atom in registration order — the source the engine
+    /// is built (or migrated) from.
     lin_atoms: Vec<LinearAtom>,
-    /// How many of `enc.atom_list` have been registered with `inc`.
-    synced_atoms: usize,
     /// Sorted literal pairs of static lemmas already emitted.
     lemma_seen: HashSet<(Lit, Lit)>,
     /// Clauses learned during earlier checks that are still attached.
@@ -104,20 +120,14 @@ impl SmtSession {
     /// tracer.
     pub fn new(cfg: SmtConfig) -> SmtSession {
         cfg.budget.tracer().metrics().bump("smt.sessions");
-        let inc: Box<dyn TheorySolver> = if cfg.theory == TheorySelect::Simplex {
-            Box::new(IncrementalLra::new(0, &[]))
-        } else {
-            Box::new(DifferenceLogic::new(0, &[]))
-        };
         SmtSession {
             enc: Encoder::new(cfg.certify),
             pur: Purifier::new(),
             base_asserts: Vec::new(),
             scopes: Vec::new(),
             index: BTreeMap::new(),
-            inc,
+            inc: None,
             lin_atoms: Vec::new(),
-            synced_atoms: 0,
             lemma_seen: HashSet::new(),
             learned_live: 0,
             checks: 0,
@@ -146,15 +156,17 @@ impl SmtSession {
         // selector scopes (the callback resync makes this redundant for
         // correctness, but it bounds the engine's trail and keeps the
         // TheorySolver contract honest for engines that rely on it).
-        self.inc.push();
+        if let Some(inc) = &mut self.inc {
+            inc.push();
+        }
         self.cfg.budget.tracer().metrics().bump("smt.scopes_pushed");
     }
 
     /// Closes the innermost scope, discarding its assertions. The scope's
     /// selector is fixed false at the root, permanently satisfying every
-    /// clause guarded by it (including lemmas learned while it was open);
-    /// under [`ClauseGcPolicy::DropPopped`] those clauses are then retired
-    /// from the SAT core, with matching deletions in the DRAT trace.
+    /// clause guarded by it (including lemmas learned while it was open).
+    /// Those clauses would only slow down propagation, so they are then
+    /// retired from the SAT core, with matching deletions in the DRAT trace.
     ///
     /// A `pop` with no open scope is a no-op.
     pub fn pop(&mut self) {
@@ -163,11 +175,11 @@ impl SmtSession {
         };
         let dead = scope.selector.negate();
         self.enc.sat.add_clause(vec![dead]);
-        self.inc.pop();
-        if self.cfg.clause_gc == ClauseGcPolicy::DropPopped {
-            let removed = self.enc.sat.retire_clauses_with(dead);
-            self.learned_live = self.learned_live.saturating_sub(removed);
+        if let Some(inc) = &mut self.inc {
+            inc.pop();
         }
+        let removed = self.enc.sat.retire_clauses_with(dead);
+        self.learned_live = self.learned_live.saturating_sub(removed);
     }
 
     /// Asserts a boolean term in the current (innermost) scope.
@@ -299,43 +311,68 @@ impl SmtSession {
     }
 
     /// Registers encoder atoms that appeared since the last check with the
-    /// warm theory state, growing the engine in place. An atom outside the
-    /// current engine's fragment migrates the session to the simplex engine
-    /// (replaying every registered atom; asserted state is rebuilt by the
+    /// theory engine. The first check that sees atoms picks the engine from
+    /// all of them: difference logic when the configuration allows it and
+    /// every atom fits the fragment, simplex otherwise. Later atoms grow the
+    /// engine in place; one outside the DL fragment migrates a DL session to
+    /// simplex, once and permanently (asserted state is rebuilt by the
     /// callback resync on the next check).
     fn sync_theory(&mut self) {
-        while self.synced_atoms < self.enc.atom_list.len() {
-            let atom = self.enc.atom_list[self.synced_atoms].clone();
+        let first_new = self.lin_atoms.len();
+        for atom in &self.enc.atom_list[first_new..] {
             for &(s, _) in &atom.coeffs {
-                if !self.index.contains_key(&s) {
-                    let id = self.inc.add_var();
-                    debug_assert_eq!(id, self.index.len());
-                    self.index.insert(s, id);
-                }
+                let next = self.index.len();
+                self.index.entry(s).or_insert(next);
             }
-            let lin: LinearAtom = (
+            self.lin_atoms.push((
                 atom.coeffs.iter().map(|&(s, c)| (self.index[&s], c)).collect(),
                 atom.is_eq,
                 atom.rhs,
-            );
-            match self.inc.add_atom(&lin) {
-                Some(idx) => debug_assert_eq!(idx, self.synced_atoms),
-                None => {
-                    self.cfg.budget.tracer().metrics().bump("theory.dl_migrations");
-                    let mut lra = IncrementalLra::new(self.index.len(), &self.lin_atoms);
-                    let idx = IncrementalLra::add_atom(&mut lra, &lin);
-                    debug_assert_eq!(idx, self.synced_atoms);
-                    // Mirror the open selector scopes so later session pops
-                    // stay paired with engine frames.
-                    for _ in 0..self.scopes.len() {
-                        TheorySolver::push(&mut lra);
-                    }
-                    self.inc = Box::new(lra);
+            ));
+        }
+        if self.inc.is_none() {
+            if !self.lin_atoms.is_empty() {
+                let dl = self.cfg.theory != TheorySelect::Simplex
+                    && self.lin_atoms.iter().all(fits_dl);
+                self.inc = Some(self.engine_from(self.lin_atoms.len(), dl));
+            }
+            return;
+        }
+        for next in first_new..self.lin_atoms.len() {
+            let lin = &self.lin_atoms[next];
+            let inc = self.inc.as_mut().expect("engine picked at the first check");
+            if let Some(&top) = lin.0.iter().map(|(v, _)| v).max() {
+                for _ in inc.num_vars()..=top {
+                    inc.add_var();
                 }
             }
-            self.lin_atoms.push(lin);
-            self.synced_atoms += 1;
+            if inc.add_atom(lin).is_none() {
+                self.cfg.budget.tracer().metrics().bump("theory.dl_migrations");
+                self.inc = Some(self.engine_from(next + 1, false));
+            }
         }
+    }
+
+    /// A difference-logic (`dl`) or simplex engine holding the first `atoms`
+    /// registered atoms and the variables they mention, with one assertion
+    /// frame per open scope so later pops stay paired with engine frames.
+    fn engine_from(&self, atoms: usize, dl: bool) -> Box<dyn TheorySolver> {
+        let atoms = &self.lin_atoms[..atoms];
+        // Variables are indexed in first-mention order.
+        let vars = atoms
+            .iter()
+            .flat_map(|(coeffs, _, _)| coeffs.iter().map(|&(v, _)| v + 1))
+            .max()
+            .unwrap_or(0);
+        let mut inc: Box<dyn TheorySolver> = if dl {
+            Box::new(DifferenceLogic::new(vars, atoms))
+        } else {
+            Box::new(IncrementalLra::new(vars, atoms))
+        };
+        for _ in 0..self.scopes.len() {
+            inc.push();
+        }
+        inc
     }
 
     /// The conjunction certified against a sat model: all global assertions
@@ -349,8 +386,7 @@ impl SmtSession {
         )
     }
 
-    /// One attempt of the lazy DPLL(T) loop under explicit limits — the
-    /// session twin of the one-shot solver's `check_once`, driving
+    /// One attempt of the lazy DPLL(T) loop under explicit limits, driving
     /// [`crate::SatSolver::solve_under`] with the open-scope selectors as
     /// assumptions.
     fn check_once(
@@ -364,7 +400,7 @@ impl SmtSession {
         let assumptions: Vec<Lit> = self.scopes.iter().map(|s| s.selector).collect();
 
         // Split disjoint field borrows: the SAT core is driven mutably while
-        // the theory callback owns the warm simplex state.
+        // the theory callback owns the warm theory engine.
         let cfg = &self.cfg;
         let enc = &mut self.enc;
         let inc = &mut self.inc;
@@ -381,14 +417,11 @@ impl SmtSession {
             lia_budget: (lia_budget / 64).max(200),
         };
 
-        let atom_vars: Vec<(u32, Atom)> = enc
-            .atom_list
-            .iter()
-            .map(|a| (enc.atoms[a], a.clone()))
-            .collect();
-        // Dispatch metrics: which engine serves this check (sessions under
-        // Auto start on DL and may have migrated to simplex by now).
-        let use_dl = inc.name() == "dl";
+        // The SAT variable of each registered atom, in theory-index order.
+        let atom_vars: Vec<u32> = enc.atom_list.iter().map(|a| enc.atoms[a]).collect();
+        // Dispatch metrics: which engine serves this check (a DL session may
+        // have migrated to simplex by now).
+        let use_dl = inc.as_ref().is_some_and(|inc| inc.name() == "dl");
         if cfg.theory != TheorySelect::Simplex && !atom_vars.is_empty() {
             cfg.budget.tracer().metrics().bump(if use_dl {
                 "theory.dl_dispatched"
@@ -397,17 +430,21 @@ impl SmtSession {
             });
         }
         let deadline_hit = std::cell::Cell::new(false);
-        // Search-analytics accumulators (see the solver's check_once): the
-        // callback is too hot for the counter mutex, so it writes cells
-        // that get flushed at conflict-chunk boundaries. Sessions reuse
+        // Search-analytics accumulators for theory work. The callback runs
+        // after every propagation settle — far too hot for the registry's
+        // counter mutex — so it writes plain cells that get flushed to
+        // `search.*` counters at conflict-chunk boundaries. Sessions reuse
         // the engine across checks, so the work counter is differenced
         // from the engine's lifetime total.
         let theory_checks = std::cell::Cell::new(0u64);
         let theory_conflicts = std::cell::Cell::new(0u64);
         let theory_cert_lits = std::cell::Cell::new(0u64);
-        let theory_work_seen = std::cell::Cell::new(inc.search_work());
-        let theory_work_flushed = std::cell::Cell::new(inc.search_work());
+        let work_before = inc.as_ref().map_or(0, |inc| inc.search_work());
+        let theory_work_seen = std::cell::Cell::new(work_before);
+        let theory_work_flushed = std::cell::Cell::new(work_before);
         let mut theory_cb = |assign: &[Option<bool>]| -> Option<Vec<Lit>> {
+            // No engine means no atoms: a pure boolean query.
+            let inc = inc.as_deref_mut()?;
             if deadline_hit.get() {
                 return None;
             }
@@ -416,7 +453,7 @@ impl SmtSession {
                 return None;
             }
             let t_theory = use_dl.then(std::time::Instant::now);
-            for (i, &(v, _)) in atom_vars.iter().enumerate() {
+            for (i, &v) in atom_vars.iter().enumerate() {
                 match assign.get(v as usize).copied().flatten() {
                     Some(b) => inc.assert_atom(i, b),
                     None => inc.retract_atom(i),
@@ -450,7 +487,7 @@ impl SmtSession {
                         core.iter()
                             .map(|&i| {
                                 let pol = inc.polarity(i).expect("core atoms are asserted");
-                                Lit::new(atom_vars[i].0, pol)
+                                Lit::new(atom_vars[i], pol)
                             })
                             .collect(),
                     )
@@ -491,9 +528,6 @@ impl SmtSession {
             if rounds > max_theory_rounds {
                 return Err(SmtError::ResourceLimit("theory rounds"));
             }
-            if std::env::var_os("SMTKIT_DEBUG").is_some() {
-                eprintln!("[dbg] session round {rounds}: sat solve");
-            }
             // Solve the propositional abstraction in conflict chunks so the
             // deadline is honored; within a chunk the conflict-stride poll
             // lets cancellation land mid-search.
@@ -528,22 +562,16 @@ impl SmtSession {
                     None => poll_budget(&cfg.budget)?,
                 }
             };
-            let asserted: Vec<(usize, bool)> = enc
-                .atom_list
+            // Collect asserted theory literals.
+            let asserted: Vec<(usize, bool)> = atom_vars
                 .iter()
                 .enumerate()
-                .map(|(i, atom)| {
-                    let v = enc.atoms[atom];
-                    (i, bool_model[v as usize])
-                })
+                .map(|(i, &v)| (i, bool_model[v as usize]))
                 .collect();
             let lits: Vec<(&Atom, bool)> = asserted
                 .iter()
                 .map(|&(i, pol)| (&enc.atom_list[i], pol))
                 .collect();
-            if std::env::var_os("SMTKIT_DEBUG").is_some() {
-                eprintln!("[dbg] session round {rounds}: full theory check");
-            }
             match checker.check(&lits)? {
                 TheoryOutcome::Sat(point) => {
                     let mut model = Model::default();
@@ -553,19 +581,19 @@ impl SmtSession {
                     for (&s, &v) in &enc.bool_vars {
                         model.bools.insert(s, bool_model[v as usize]);
                     }
-                    if std::env::var_os("SMTKIT_DEBUG").is_some() {
-                        eprintln!("[dbg] session round {rounds}: certify sat model");
-                    }
+                    // Certify on the *full* (purification vars included)
+                    // model, then drop purification-internal variables.
                     certify_sat_model(cfg, &active, &model)?;
                     model.ints.retain(|s, _| !s.as_str().starts_with("ite!"));
                     return Ok(SmtResult::Sat(model));
                 }
                 TheoryOutcome::Unsat => {
-                    if std::env::var_os("SMTKIT_DEBUG").is_some() {
-                        eprintln!("[dbg] session round {rounds}: theory conflict, minimizing");
-                    }
                     cfg.budget.tracer().metrics().bump("smt.conflicts");
                     cfg.budget.tracer().progress().note_smt_conflict();
+                    // Core minimization: binary-search the minimal failing
+                    // prefix ("prefix is unsat" is monotone, so O(log n)
+                    // checks locate it), then greedy deletion on the
+                    // survivor when it is small enough.
                     let mut core: Vec<(usize, bool)> = asserted.clone();
                     if cfg.minimize_cores && core.len() > 1 {
                         let unsat_prefix = |k: usize| -> Result<bool, SmtError> {
@@ -615,12 +643,10 @@ impl SmtSession {
                     // Theory lemmas are scope-independent (they speak about
                     // atom semantics), so they are added unguarded and
                     // survive pops.
+                    // The negation of each asserted core literal.
                     let clause: Vec<Lit> = core
                         .iter()
-                        .map(|&(i, pol)| {
-                            let v = enc.atoms[&enc.atom_list[i]];
-                            Lit::new(v, pol)
-                        })
+                        .map(|&(i, pol)| Lit::new(atom_vars[i], pol))
                         .collect();
                     // Full-model conflicts count as theory conflicts with
                     // the blocking clause as certificate (cold path).
@@ -720,21 +746,61 @@ mod tests {
     }
 
     #[test]
-    fn gc_policies_agree_on_answers() {
-        for policy in [ClauseGcPolicy::DropPopped, ClauseGcPolicy::RetainAll] {
-            let cfg = SmtConfig::builder().clause_gc(policy).build();
-            let mut s = SmtSession::new(cfg);
-            s.assert_term(&Term::ge(x(), Term::int(0))).unwrap();
-            for round in 0..4 {
-                s.push();
-                s.assert_term(&Term::eq(x(), Term::int(round))).unwrap();
-                assert!(matches!(s.check_sat().unwrap(), SmtResult::Sat(_)));
-                s.assert_term(&Term::lt(x(), Term::int(round))).unwrap();
-                assert_eq!(s.check_sat().unwrap(), SmtResult::Unsat);
-                s.pop();
-            }
+    fn popped_scopes_retire_their_clauses() {
+        let mut s = session();
+        s.assert_term(&Term::ge(x(), Term::int(0))).unwrap();
+        for round in 0..4 {
+            s.push();
+            s.assert_term(&Term::eq(x(), Term::int(round))).unwrap();
             assert!(matches!(s.check_sat().unwrap(), SmtResult::Sat(_)));
+            s.assert_term(&Term::lt(x(), Term::int(round))).unwrap();
+            assert_eq!(s.check_sat().unwrap(), SmtResult::Unsat);
+            s.pop();
         }
+        assert!(matches!(s.check_sat().unwrap(), SmtResult::Sat(_)));
+    }
+
+    /// The session's `theory.*` dispatch counters after running `script`
+    /// on a fresh session under [`TheorySelect::Auto`].
+    fn dispatch_counters(script: impl FnOnce(&mut SmtSession)) -> [u64; 3] {
+        let tracer = sygus_ast::Tracer::metrics_only();
+        let cfg = SmtConfig::builder()
+            .budget(crate::Budget::unlimited().with_tracer(tracer.clone()))
+            .theory(TheorySelect::Auto)
+            .build();
+        script(&mut SmtSession::new(cfg));
+        let m = tracer.metrics();
+        ["theory.dl_dispatched", "theory.dl_fallbacks", "theory.dl_migrations"]
+            .map(|name| m.counter(name))
+    }
+
+    #[test]
+    fn engine_is_picked_from_all_atoms_at_the_first_check() {
+        let diff = || Term::le(Term::sub(x(), y()), Term::int(3));
+        let sum = || Term::le(Term::add(x(), y()), Term::int(5));
+        // A DL-only query runs on difference logic.
+        let dl_only = dispatch_counters(|s| {
+            s.assert_term(&diff()).unwrap();
+            assert!(matches!(s.check_sat().unwrap(), SmtResult::Sat(_)));
+        });
+        assert_eq!(dl_only, [1, 0, 0]);
+        // A fresh mixed query starts on simplex: no DL engine to migrate.
+        let mixed = dispatch_counters(|s| {
+            s.assert_term(&Term::and([diff(), sum()])).unwrap();
+            assert!(matches!(s.check_sat().unwrap(), SmtResult::Sat(_)));
+        });
+        assert_eq!(mixed, [0, 1, 0]);
+        // A DL session that later gains a non-DL atom migrates once.
+        let grown = dispatch_counters(|s| {
+            s.assert_term(&diff()).unwrap();
+            assert!(matches!(s.check_sat().unwrap(), SmtResult::Sat(_)));
+            s.push();
+            s.assert_term(&sum()).unwrap();
+            assert!(matches!(s.check_sat().unwrap(), SmtResult::Sat(_)));
+            s.pop();
+            assert!(matches!(s.check_sat().unwrap(), SmtResult::Sat(_)));
+        });
+        assert_eq!(grown, [1, 2, 1]);
     }
 
     #[test]

@@ -1,19 +1,18 @@
-//! The term-level SMT solver: lazy DPLL(T) over the CDCL SAT core and the
-//! branch-and-bound LIA theory solver.
+//! The term-level SMT front end: configuration, answers, and the pieces the
+//! lazy DPLL(T) loop in [`SmtSession`] is built from.
 //!
 //! Pipeline: integer `ite`s are purified out of atoms with fresh variables,
 //! the boolean skeleton is Tseitin-encoded with comparison atoms mapped to
 //! SAT variables, and each propositional model's asserted theory literals
-//! are checked by [`check_lia`]; theory conflicts come back as (greedily
-//! minimized) blocking clauses.
+//! are checked by [`check_lia`](crate::check_lia); theory conflicts come back
+//! as (greedily minimized) blocking clauses. [`SmtSolver`] answers one
+//! formula at a time by running it through a fresh session.
 
-use crate::theory::{fits_dl, TheorySelect, TheorySolver};
-use crate::{check_lia_polled, BigInt, LiaResult, LinCon, Lit, Rel, SatResult, SatSolver};
+use crate::theory::TheorySelect;
+use crate::{check_lia_polled, BigInt, LiaResult, LinCon, Lit, Rel, SatSolver, SmtSession};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::time::Instant;
 use sygus_ast::runtime::{Budget, BudgetError};
-use sygus_ast::trace::Stage;
 use sygus_ast::{Env, LinearExpr, Op, Sort, Symbol, Term, TermNode, Value};
 
 /// Configuration for [`SmtSolver`].
@@ -52,12 +51,6 @@ pub struct SmtConfig {
     /// integer arithmetic. A failed certificate surfaces as
     /// [`SmtError::Certification`] — never as a wrong answer.
     pub certify: bool,
-    /// Whether consumers that *can* keep a persistent [`crate::SmtSession`]
-    /// (the CEGIS loops) should do so. Off means every query is solved from
-    /// scratch — useful for A/B timing and as a bisection lever.
-    pub session_reuse: bool,
-    /// What a session does with clauses guarded by a popped scope.
-    pub clause_gc: ClauseGcPolicy,
     /// Which theory engine serves the eager DPLL(T) partial checks:
     /// [`TheorySelect::Auto`] dispatches queries whose atoms all fit the
     /// difference-logic fragment to the specialized constraint-graph engine
@@ -65,21 +58,6 @@ pub struct SmtConfig {
     /// process-wide default ([`crate::process_default_theory`]), which
     /// binaries set from `--theory`.
     pub theory: TheorySelect,
-}
-
-/// What [`crate::SmtSession::pop`] does with the clauses of the popped
-/// scope (guarded inputs and lemmas learned under the scope's selector).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ClauseGcPolicy {
-    /// Drop them: once the selector is fixed false the clauses are
-    /// permanently satisfied and only slow down propagation. Deletions are
-    /// recorded in the DRAT trace.
-    #[default]
-    DropPopped,
-    /// Keep them attached. Sound (they are satisfied, never unit) and
-    /// occasionally useful for debugging trace differences, at the cost of
-    /// watch-list bloat in long-running sessions.
-    RetainAll,
 }
 
 impl Default for SmtConfig {
@@ -92,8 +70,6 @@ impl Default for SmtConfig {
             minimize_cores: true,
             max_diseq_split: 24,
             certify: true,
-            session_reuse: true,
-            clause_gc: ClauseGcPolicy::DropPopped,
             theory: crate::process_default_theory(),
         }
     }
@@ -148,18 +124,6 @@ impl SmtConfigBuilder {
     /// Sets whether answers are certified before being reported.
     pub fn certify(mut self, on: bool) -> Self {
         self.cfg.certify = on;
-        self
-    }
-
-    /// Sets whether CEGIS consumers keep persistent sessions.
-    pub fn session_reuse(mut self, on: bool) -> Self {
-        self.cfg.session_reuse = on;
-        self
-    }
-
-    /// Sets the popped-scope clause GC policy for sessions.
-    pub fn clause_gc(mut self, policy: ClauseGcPolicy) -> Self {
-        self.cfg.clause_gc = policy;
         self
     }
 
@@ -284,7 +248,9 @@ pub enum Validity {
     Invalid(Model),
 }
 
-/// The QF_LIA SMT solver (the paper's background decision procedure).
+/// The QF_LIA SMT solver (the paper's background decision procedure): a
+/// stateless front end that answers each query in a fresh [`SmtSession`].
+/// Callers that re-query related formulas should keep a session instead.
 ///
 /// # Examples
 ///
@@ -725,8 +691,7 @@ impl Encoder {
 ///
 /// Every emitted lemma is *binary*, so `seen` (a set of sorted literal
 /// pairs) makes re-runs incremental: a session calls this after each
-/// assertion and only genuinely new lemmas reach the SAT core. One-shot
-/// callers pass a fresh set.
+/// assertion and only genuinely new lemmas reach the SAT core.
 pub(crate) fn add_static_lemmas(enc: &mut Encoder, seen: &mut std::collections::HashSet<(Lit, Lit)>) {
     use std::collections::HashMap as Map;
     // Group atoms by coefficient vector.
@@ -885,19 +850,7 @@ impl TheoryChecker<'_> {
                 }
                 match check_lia_polled(self.index.len(), &boxed, self.lia_budget, &mut poll) {
                     LiaResult::Sat(m) => m,
-                    other => {
-                        if std::env::var_os("SMTKIT_DEBUG").is_some() {
-                            eprintln!(
-                                "[smtkit] boxed retry failed ({other:?} of {} cons, {} vars)",
-                                base.len(),
-                                self.index.len()
-                            );
-                            for c in base.iter() {
-                                eprintln!("[smtkit]   {c}");
-                            }
-                        }
-                        return Err(SmtError::ResourceLimit("lia nodes"));
-                    }
+                    _ => return Err(SmtError::ResourceLimit("lia nodes")),
                 }
             }
         };
@@ -946,26 +899,6 @@ impl TheoryChecker<'_> {
 // The solver proper
 // ---------------------------------------------------------------------------
 
-/// Pivot cap for the *eager* incremental feasibility check consulted from
-/// inside the SAT search. Normal repair takes a handful of pivots; on
-/// tableaus whose rational coefficients explode, the eager check gives up
-/// at the cap and the authoritative (node- and pivot-budgeted) full-model
-/// check decides instead — without this, a single `IncrementalLra::check`
-/// can pivot for minutes while the deadline is never consulted.
-pub(crate) const THEORY_PIVOT_CAP: u64 = 200_000;
-
-/// The static counter name for a retry-ladder rung (allocation-free; the
-/// ladder is short — the default config takes at most 2 escalations).
-pub(crate) fn retry_rung_counter(escalation: u32) -> &'static str {
-    match escalation {
-        1 => "smt.retry.rung1",
-        2 => "smt.retry.rung2",
-        3 => "smt.retry.rung3",
-        4 => "smt.retry.rung4",
-        _ => "smt.retry.rung5+",
-    }
-}
-
 impl SmtSolver {
     /// Creates a solver with default configuration.
     pub fn new() -> SmtSolver {
@@ -982,17 +915,16 @@ impl SmtSolver {
         &self.cfg
     }
 
-    fn check_deadline(&self) -> Result<(), SmtError> {
-        poll_budget(&self.cfg.budget)
-    }
-
-    /// Checks satisfiability of a quantifier-free CLIA formula.
+    /// Checks satisfiability of a quantifier-free CLIA formula: asserts it
+    /// in a fresh [`SmtSession`] and checks once, so answers, retry ladder,
+    /// certification, and metrics are exactly the session's
+    /// ([`SmtSession::check_sat`]). Constant formulas are answered without a
+    /// session.
     ///
-    /// Internal resource exhaustion (LIA nodes, theory rounds, disequality
-    /// splits) is retried up to `retry_escalations` times with geometrically
-    /// escalated limits — bounded by the remaining [`Budget`] — before
-    /// [`SmtError::ResourceLimit`] is reported; escalations are recorded on
-    /// the budget's telemetry counters.
+    /// The formula is purified here and asserted together with its `ite`
+    /// definitions as one root conjunction. A one-shot query has no scopes
+    /// for the definitions to outlive, and one conjunction encodes the
+    /// formula's own atoms first, ahead of the definitions.
     ///
     /// # Errors
     ///
@@ -1000,403 +932,18 @@ impl SmtSolver {
     /// applications, nonlinear arithmetic), [`SmtError::Timeout`] /
     /// [`SmtError::ResourceLimit`] when budgets run out.
     pub fn check(&self, formula: &Term) -> Result<SmtResult, SmtError> {
-        self.cfg.budget.note_smt_query();
-        let tracer = self.cfg.budget.tracer().clone();
-        tracer.progress().note_smt_check(formula.size() as u64);
-        let span = tracer.span(Stage::Smt);
-        let mut escalation: u32 = 0;
-        let result = loop {
-            // Each rung multiplies both base limits by 4.
-            let factor = 1u64 << (2 * escalation.min(16));
-            let lia_budget = self.cfg.lia_budget.max(1).saturating_mul(factor);
-            let rounds = self.cfg.max_theory_rounds.max(1).saturating_mul(factor);
-            match self.check_once(formula, lia_budget, rounds) {
-                Err(SmtError::ResourceLimit(which)) => {
-                    // Climb the ladder only while the governing budget has
-                    // headroom; a fuel/deadline-exhausted budget reports
-                    // immediately (check_once already mapped that case).
-                    if escalation >= self.cfg.retry_escalations
-                        || self.cfg.budget.check().is_err()
-                    {
-                        break Err(SmtError::ResourceLimit(which));
-                    }
-                    escalation += 1;
-                    self.cfg.budget.note_smt_retry();
-                    tracer.metrics().bump(retry_rung_counter(escalation));
-                }
-                other => break other,
-            }
-        };
-        let answer = match &result {
-            Ok(SmtResult::Sat(_)) => "sat",
-            Ok(SmtResult::Unsat) => "unsat",
-            Err(_) => "unknown",
-        };
-        tracer.metrics().bump(match answer {
-            "sat" => "smt.sat",
-            "unsat" => "smt.unsat",
-            _ => "smt.unknown",
-        });
-        drop(span.with_detail(|| format!("answer={answer} rung={escalation}")));
-        result
-    }
-
-    /// One attempt of the lazy DPLL(T) loop under explicit limits.
-    fn check_once(
-        &self,
-        formula: &Term,
-        lia_budget: u64,
-        max_theory_rounds: u64,
-    ) -> Result<SmtResult, SmtError> {
-        if formula.sort() != Sort::Bool {
-            return Err(SmtError::Unsupported("formula must be boolean".into()));
-        }
-        self.check_deadline()?;
-        // Fast path for constants.
+        poll_budget(&self.cfg.budget)?;
         match formula.as_bool_const() {
             Some(true) => return Ok(SmtResult::Sat(Model::default())),
             Some(false) => return Ok(SmtResult::Unsat),
             None => {}
         }
-        // Purify integer ites, then conjoin the side constraints.
         let mut pur = Purifier::new();
         let main = pur.purify_bool(formula)?;
         let full = Term::and(std::iter::once(main).chain(pur.side.drain(..)));
-        match full.as_bool_const() {
-            Some(true) => return Ok(SmtResult::Sat(Model::default())),
-            Some(false) => return Ok(SmtResult::Unsat),
-            None => {}
-        }
-
-        let mut enc = Encoder::new(self.cfg.certify);
-        let root = enc.encode(&full)?;
-        enc.sat.add_clause(vec![root]);
-        add_static_lemmas(&mut enc, &mut std::collections::HashSet::new());
-
-        // Index every integer variable mentioned in atoms.
-        let mut index: BTreeMap<Symbol, usize> = BTreeMap::new();
-        for atom in &enc.atom_list {
-            for &(s, _) in &atom.coeffs {
-                let next = index.len();
-                index.entry(s).or_insert(next);
-            }
-        }
-        let checker = TheoryChecker {
-            index: index.clone(),
-            cfg: &self.cfg,
-            lia_budget,
-        };
-        let min_checker = TheoryChecker {
-            index: index.clone(),
-            cfg: &self.cfg,
-            lia_budget: (lia_budget / 64).max(200),
-        };
-
-        // Partial-assignment theory propagation (DPLL(T)): whenever SAT
-        // propagation settles, the newly (un)assigned atoms are pushed into
-        // an incremental rational simplex; conflicts come back as Farkas
-        // cores and become learned clauses immediately. Rational reasoning
-        // under-approximates integer infeasibility, so every clause is
-        // sound; the complete integer check still runs on full models.
-        let atom_vars: Vec<(u32, Atom)> = enc
-            .atom_list
-            .iter()
-            .map(|a| (enc.atoms[a], a.clone()))
-            .collect();
-        let inc_atoms: Vec<crate::inc_lra::LinearAtom> = enc
-            .atom_list
-            .iter()
-            .map(|a| {
-                (
-                    a.coeffs.iter().map(|&(s, c)| (index[&s], c)).collect(),
-                    a.is_eq,
-                    a.rhs,
-                )
-            })
-            .collect();
-        // Theory-engine dispatch: the specialized difference-logic engine
-        // when the configuration allows it and *every* atom of the query
-        // fits the fragment (it is exact over the integers there); the
-        // general warm simplex otherwise. Queries with no theory atoms are
-        // pure boolean and count toward neither dispatch metric.
-        let want_dl = self.cfg.theory != TheorySelect::Simplex && !inc_atoms.is_empty();
-        let use_dl = want_dl && inc_atoms.iter().all(fits_dl);
-        let mut inc: Box<dyn TheorySolver> = if use_dl {
-            self.cfg.budget.tracer().metrics().bump("theory.dl_dispatched");
-            Box::new(crate::DifferenceLogic::new(index.len(), &inc_atoms))
-        } else {
-            if want_dl {
-                self.cfg.budget.tracer().metrics().bump("theory.dl_fallbacks");
-            }
-            Box::new(crate::IncrementalLra::new(index.len(), &inc_atoms))
-        };
-        let deadline_hit = std::cell::Cell::new(false);
-        // Search-analytics accumulators for theory work. The callback runs
-        // after every propagation settle — far too hot for the registry's
-        // counter mutex — so it writes plain `Cell`s and the driver flushes
-        // them to `search.*` counters at conflict-chunk boundaries.
-        let theory_checks = std::cell::Cell::new(0u64);
-        let theory_conflicts = std::cell::Cell::new(0u64);
-        let theory_cert_lits = std::cell::Cell::new(0u64);
-        let theory_work_seen = std::cell::Cell::new(0u64);
-        let theory_work_flushed = std::cell::Cell::new(0u64);
-        let mut theory_cb = |assign: &[Option<bool>]| -> Option<Vec<Lit>> {
-            if deadline_hit.get() {
-                return None;
-            }
-            if self.check_deadline().is_err() {
-                deadline_hit.set(true);
-                return None;
-            }
-            let t_theory = use_dl.then(Instant::now);
-            // Sync the incremental state with the current assignment.
-            for (i, &(v, _)) in atom_vars.iter().enumerate() {
-                match assign[v as usize] {
-                    Some(b) => inc.assert_atom(i, b),
-                    None => inc.retract_atom(i),
-                }
-            }
-            let verdict = inc.check(THEORY_PIVOT_CAP, &mut || self.check_deadline().is_ok());
-            theory_checks.set(theory_checks.get() + 1);
-            theory_work_seen.set(inc.search_work());
-            if let Some(t) = t_theory {
-                self.cfg
-                    .budget
-                    .tracer()
-                    .metrics()
-                    .stage(Stage::Dl)
-                    .record_micros(t.elapsed().as_micros() as u64);
-            }
-            match verdict {
-                None => {
-                    // The eager check gave up (deadline, or a pathological
-                    // pivot sequence): report no conflict and let the
-                    // authoritative budgeted full-model check decide.
-                    if self.check_deadline().is_err() {
-                        deadline_hit.set(true);
-                    }
-                    None
-                }
-                Some(Ok(())) => None,
-                Some(Err(core)) => {
-                    theory_conflicts.set(theory_conflicts.get() + 1);
-                    theory_cert_lits.set(theory_cert_lits.get() + core.len() as u64);
-                    Some(
-                        core.iter()
-                            .map(|&i| {
-                                let pol = inc.polarity(i).expect("core atoms are asserted");
-                                Lit::new(atom_vars[i].0, pol)
-                            })
-                            .collect(),
-                    )
-                }
-            }
-        };
-        // Flushes the theory-work cells into `search.*` counters (the work
-        // counter lands under the dispatched engine's name).
-        let flush_theory = |m: &sygus_ast::trace::MetricsRegistry| {
-            let checks = theory_checks.take();
-            if checks > 0 {
-                m.add("search.theory_checks_total", checks);
-            }
-            let conflicts = theory_conflicts.take();
-            if conflicts > 0 {
-                m.add("search.theory_conflicts_total", conflicts);
-            }
-            let lits = theory_cert_lits.take();
-            if lits > 0 {
-                m.add("search.theory_cert_lits_total", lits);
-            }
-            let delta = theory_work_seen.get() - theory_work_flushed.get();
-            theory_work_flushed.set(theory_work_seen.get());
-            if delta > 0 {
-                let name = if use_dl {
-                    "search.dl_relaxations_total"
-                } else {
-                    "search.simplex_pivots_total"
-                };
-                m.add(name, delta);
-            }
-        };
-
-        let mut rounds: u64 = 0;
-        loop {
-            self.check_deadline()?;
-            // One fuel unit per lazy round keeps `--fuel` meaningful down to
-            // the decision-procedure layer.
-            let _ = self.cfg.budget.charge_fuel(1);
-            self.cfg.budget.tracer().metrics().bump("smt.theory_rounds");
-            rounds += 1;
-            if rounds > max_theory_rounds {
-                return Err(SmtError::ResourceLimit("theory rounds"));
-            }
-            // Solve the propositional abstraction in conflict chunks so the
-            // deadline is honored; within a chunk the conflict-stride poll
-            // lets cancellation land mid-search.
-            let t_sat = Instant::now();
-            let poll_handle = self.cfg.budget.clone();
-            let bool_model = loop {
-                let step = enc.sat.solve_with_theory_polled(
-                    Some(20_000),
-                    || poll_handle.exceeded().is_none(),
-                    &mut theory_cb,
-                );
-                // Chunk boundary: drain closed search intervals and the
-                // theory-work cells (a terminal answer also closes the
-                // open tail so nothing is lost).
-                let done = step.is_some();
-                crate::search::drain_search(
-                    &mut enc.sat,
-                    self.cfg.budget.tracer().metrics(),
-                    done,
-                );
-                flush_theory(self.cfg.budget.tracer().metrics());
-                match step {
-                    Some(SatResult::Unsat) => {
-                        self.certify_unsat(&enc.sat)?;
-                        return Ok(SmtResult::Unsat);
-                    }
-                    Some(SatResult::Sat(m)) => break m,
-                    None => self.check_deadline()?,
-                }
-            };
-            if std::env::var_os("SMTKIT_DEBUG").is_some() && t_sat.elapsed().as_millis() > 50 {
-                eprintln!("[smtkit]   sat solve took {:?}", t_sat.elapsed());
-            }
-            // Collect asserted theory literals.
-            let asserted: Vec<(usize, bool)> = enc
-                .atom_list
-                .iter()
-                .enumerate()
-                .map(|(i, atom)| {
-                    let v = enc.atoms[atom];
-                    (i, bool_model[v as usize])
-                })
-                .collect();
-            let lits: Vec<(&Atom, bool)> = asserted
-                .iter()
-                .map(|&(i, pol)| (&enc.atom_list[i], pol))
-                .collect();
-            let dbg = std::env::var_os("SMTKIT_DEBUG").is_some();
-            let t_check = Instant::now();
-            let outcome = checker.check(&lits)?;
-            if dbg {
-                eprintln!(
-                    "[smtkit] round {rounds}: {} atoms, theory check {:?} -> {}",
-                    enc.atom_list.len(),
-                    t_check.elapsed(),
-                    matches!(outcome, TheoryOutcome::Sat(_))
-                );
-            }
-            match outcome {
-                TheoryOutcome::Sat(point) => {
-                    let mut model = Model::default();
-                    for (&s, &vi) in &index {
-                        model.ints.insert(s, point[vi].clone());
-                    }
-                    for (&s, &v) in &enc.bool_vars {
-                        model.bools.insert(s, bool_model[v as usize]);
-                    }
-                    // Certify on the *full* (purification vars included)
-                    // model: the asserted formula must evaluate to true
-                    // under exact integer arithmetic.
-                    self.certify_sat(&full, &model)?;
-                    // Drop purification-internal variables from the model.
-                    model.ints.retain(|s, _| !s.as_str().starts_with("ite!"));
-                    return Ok(SmtResult::Sat(model));
-                }
-                TheoryOutcome::Unsat => {
-                    self.cfg.budget.tracer().metrics().bump("smt.conflicts");
-                    self.cfg.budget.tracer().progress().note_smt_conflict();
-                    // Core minimization: binary-search the minimal failing
-                    // prefix ("prefix is unsat" is monotone, so O(log n)
-                    // checks locate it), then greedy deletion on the
-                    // survivor when it is small enough.
-                    let t_min = Instant::now();
-                    let mut core: Vec<(usize, bool)> = asserted.clone();
-                    if self.cfg.minimize_cores && core.len() > 1 {
-                        let unsat_prefix = |k: usize| -> Result<bool, SmtError> {
-                            self.check_deadline()?;
-                            let lits: Vec<(&Atom, bool)> = asserted[..k]
-                                .iter()
-                                .map(|&(i, pol)| (&enc.atom_list[i], pol))
-                                .collect();
-                            Ok(matches!(min_checker.check(&lits), Ok(TheoryOutcome::Unsat)))
-                        };
-                        // Find the smallest k with prefix[..k] unsat.
-                        let (mut lo, mut hi) = (1usize, asserted.len());
-                        if unsat_prefix(hi)? {
-                            // synthlint: allow(unpolled-loop) — O(log n) core binary search; every probe calls check_deadline
-                            while lo < hi {
-                                let mid = lo + (hi - lo) / 2;
-                                if unsat_prefix(mid)? {
-                                    hi = mid;
-                                } else {
-                                    lo = mid + 1;
-                                }
-                            }
-                            core = asserted[..lo].to_vec();
-                        }
-                        // Deletion pass, back to front, only when affordable.
-                        if core.len() <= 40 {
-                            let mut i = core.len();
-                            while i > 0 {
-                                i -= 1;
-                                self.check_deadline()?;
-                                if core.len() <= 1 {
-                                    break;
-                                }
-                                let mut trial = core.clone();
-                                trial.remove(i);
-                                let trial_lits: Vec<(&Atom, bool)> = trial
-                                    .iter()
-                                    .map(|&(k, pol)| (&enc.atom_list[k], pol))
-                                    .collect();
-                                if matches!(
-                                    min_checker.check(&trial_lits),
-                                    Ok(TheoryOutcome::Unsat)
-                                ) {
-                                    core = trial; // literal was redundant
-                                }
-                            }
-                        }
-                    }
-                    if dbg {
-                        eprintln!(
-                            "[smtkit]   minimized to {} literals in {:?}",
-                            core.len(),
-                            t_min.elapsed()
-                        );
-                    }
-                    let clause: Vec<Lit> = core
-                        .iter()
-                        .map(|&(i, pol)| {
-                            let v = enc.atoms[&enc.atom_list[i]];
-                            Lit::new(v, pol) // negation of the asserted literal
-                        })
-                        .collect();
-                    // Full-model conflicts are theory conflicts too; the
-                    // blocking clause is the certificate (cold path, so the
-                    // registry mutex is fine here).
-                    let m = self.cfg.budget.tracer().metrics();
-                    m.add("search.theory_conflicts_total", 1);
-                    m.add("search.theory_cert_lits_total", clause.len() as u64);
-                    enc.sat.add_clause(clause);
-                }
-            }
-        }
-    }
-
-    /// Replays the SAT core's DRAT trace through the independent RUP
-    /// checker before an `unsat` answer is allowed out.
-    fn certify_unsat(&self, sat: &SatSolver) -> Result<(), SmtError> {
-        certify_unsat_steps(&self.cfg, sat.proof_steps())
-    }
-
-    /// Re-evaluates the asserted formula under the model with exact integer
-    /// arithmetic before a `sat` answer is allowed out.
-    fn certify_sat(&self, formula: &Term, model: &Model) -> Result<(), SmtError> {
-        certify_sat_model(&self.cfg, formula, model)
+        let mut session = SmtSession::new(self.cfg.clone());
+        session.assert_term(&full)?;
+        session.check_sat()
     }
 
     /// Checks validity: `Valid` iff `¬formula` is unsatisfiable; otherwise
@@ -1437,7 +984,7 @@ impl SmtSolver {
 
 /// Maps a [`Budget`] poll onto [`SmtError`]: stop conditions (deadline,
 /// cancellation) become [`SmtError::Timeout`], exhausted allowances become
-/// [`SmtError::ResourceLimit`]. Shared by the one-shot solver and sessions.
+/// [`SmtError::ResourceLimit`].
 pub(crate) fn poll_budget(budget: &Budget) -> Result<(), SmtError> {
     match budget.exceeded() {
         None => Ok(()),
@@ -1814,8 +1361,9 @@ mod tests {
 
     #[test]
     fn timeout_honored() {
+        let past = std::time::Instant::now() - std::time::Duration::from_secs(1);
         let cfg = SmtConfig {
-            budget: Budget::with_deadline(Instant::now() - std::time::Duration::from_secs(1)),
+            budget: Budget::with_deadline(past),
             ..SmtConfig::default()
         };
         let s = SmtSolver::with_config(cfg);
