@@ -73,7 +73,7 @@ pub use sort::{Sort, SortError};
 pub use symbol::{interner_stats, InternerStats, Symbol};
 pub use term::{Definitions, EvalError, FuncDef, Term, TermNode};
 pub use trace::{
-    EventRing, MetricsRegistry, MetricsSnapshot, PathStat, RingEntry, Stage, StageSnapshot,
-    TraceEvent, Tracer,
+    EventRing, GraphEvent, MetricsRegistry, MetricsSnapshot, Record, RestartEpisode,
+    SearchRecord, Stage, StageSnapshot, Stamp, Tracer,
 };
 pub use value::{Env, Value};

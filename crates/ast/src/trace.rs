@@ -12,24 +12,24 @@
 //!   the tracer threaded through a hot loop is free for practical purposes.
 //!   The always-on tier also includes the [`ProgressState`] live counters
 //!   engines feed for heartbeat/stall reporting.
-//! * **Events (opt in).** When constructed with [`Tracer::recording`], every
-//!   span and point event is additionally appended to an in-memory buffer
-//!   with its monotonic start/stop offsets, thread ordinal, and subproblem
-//!   node id, ready to be drained as JSONL by an external sink. Subproblem
-//!   *graph* events (node creation, division edges, solver attribution) are
-//!   buffered separately so a DOT rendering of the run's subproblem graph
-//!   can be reconstructed after the fact.
-//! * **Span-tree profiling (opt in).** When constructed with
-//!   [`Tracer::profiling`], every thread maintains a stack of its open
-//!   [`SpanGuard`]s, so nested spans form a call tree. Closing a span folds
-//!   its timing into a per-path aggregate ([`PathStat`]: invocation count,
-//!   *self* time with children subtracted, *total* inclusive time), keyed by
-//!   the semicolon-joined stage path (`enumerate;fixed-height;smt`) —
-//!   exactly the folded-stack format flamegraph tools such as inferno
-//!   consume ([`Tracer::folded_stacks`]). The profiler also mirrors each
-//!   thread's current stack into a shared table ([`Tracer::live_stacks`]) so
-//!   a watchdog can report what every thread is doing *right now*, and keeps
-//!   [`ProgressState::set_stage`] up to date as spans open and close.
+//! * **Records (opt in).** Every closed span, point event, subproblem-graph
+//!   event and drained CDCL search interval becomes one [`Record`], the
+//!   only recording type. One private emit path hands it to whichever
+//!   record store is attached: the unbounded buffer of a
+//!   [`Tracer::recording`] tracer (the `--trace` sink) and the bounded
+//!   [`EventRing`] flight recorder of a daemon worker. Span records carry
+//!   an `id` and the `parent` id of the enclosing open span on the same
+//!   thread and tracer, so folded stacks, the subproblem graph and the
+//!   search log are exact offline renderings of the records. Detail, graph
+//!   and search closures run only when a store is attached.
+//! * **Live stacks (opt in).** A [`Tracer::watched`] tracer mirrors each
+//!   thread's open-span stack into a shared table ([`Tracer::live_stacks`])
+//!   and keeps [`ProgressState::set_stage`] on the innermost open span, so a
+//!   watchdog can report what every thread is doing *right now*.
+//!
+//! The per-thread open-span stack behind `parent` ids and live stacks is
+//! kept only by tracers with a record store or live stacks; a metrics-only
+//! span does its atomic metric updates and nothing else.
 //!
 //! Clones share all state, so metrics recorded by parallel workers (which
 //! receive the tracer through [`Budget::child`](crate::runtime::Budget::child)
@@ -41,6 +41,7 @@ use crate::metrics::{
     SIZE_BUCKETS, TIME_BUCKETS,
 };
 use crate::progress::ProgressState;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,8 +73,8 @@ pub enum Stage {
     /// One parallel height-band worker (Section 5.1).
     Worker,
     /// One difference-logic theory check (negative-cycle propagation) in
-    /// the SMT substrate. Disjoint from [`Stage::Smt`]: `smt` spans cover
-    /// the whole query, `dl` spans only the DL engine's share of it.
+    /// the SMT substrate. Nested in its query's [`Stage::Smt`] span: `smt`
+    /// spans cover the whole query, `dl` spans only the DL engine's share.
     Dl,
 }
 
@@ -183,10 +184,6 @@ pub struct MetricsRegistry {
     /// solve-wall, per-stage request latency). Created on first use; empty
     /// for runs that never record one, so batch reports are unchanged.
     latencies: Mutex<BTreeMap<String, Arc<LatencyHistogram>>>,
-    /// Buffered search-log interval records (JSONL lines). `None` until
-    /// [`MetricsRegistry::enable_search_log`]: runs without `--search-log`
-    /// pay no buffering and no memory growth.
-    search_samples: Mutex<Option<Vec<String>>>,
 }
 
 impl MetricsRegistry {
@@ -244,44 +241,6 @@ impl MetricsRegistry {
     /// Records `micros` into the named latency histogram.
     pub fn record_latency(&self, name: &str, micros: u64) {
         self.latency(name).record(micros);
-    }
-
-    /// Turns on search-log sample buffering. Until this is called,
-    /// [`MetricsRegistry::push_search_sample`] is a no-op, so the
-    /// interval-sampling instrumentation costs nothing on runs that never
-    /// asked for a search log.
-    pub fn enable_search_log(&self) {
-        let mut samples = self.search_samples.lock().unwrap_or_else(|e| e.into_inner());
-        if samples.is_none() {
-            *samples = Some(Vec::new());
-        }
-    }
-
-    /// Whether search-log buffering is enabled.
-    pub fn search_log_enabled(&self) -> bool {
-        self.search_samples
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_some()
-    }
-
-    /// Buffers one search-log interval record (a serialized JSON object,
-    /// one line of the eventual JSONL sink). Dropped silently when
-    /// buffering is disabled.
-    pub fn push_search_sample(&self, line: String) {
-        let mut samples = self.search_samples.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(buf) = samples.as_mut() {
-            buf.push(line);
-        }
-    }
-
-    /// A copy of the buffered search-log records (empty when disabled).
-    pub fn search_samples(&self) -> Vec<String> {
-        self.search_samples
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-            .unwrap_or_default()
     }
 
     /// A point-in-time copy of every metric, for reports. Stages with zero
@@ -390,51 +349,22 @@ fn latency_bank_json(bank: &LatencyBankSnapshot) -> Json {
     ])
 }
 
-/// One recorded trace event (a completed span or an instantaneous point).
-#[derive(Clone, Debug)]
-pub struct TraceEvent {
-    /// Monotonic per-tracer sequence number (records buffer-push order,
-    /// which for spans is *completion* order).
+/// Where and when a record happened: its position in the store holding it,
+/// the emitting thread, and its time offset from that store's epoch.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Stamp {
+    /// Position in the holding store's push order (the `--trace` buffer or
+    /// the flight ring), assigned when the record is stored.
     pub seq: u64,
-    /// The stage name.
-    pub name: &'static str,
-    /// Subproblem-graph node id, when the event is node-scoped.
-    pub node: Option<usize>,
-    /// Small per-process thread ordinal (0 = first thread to record).
+    /// Emitting thread's [`thread_ordinal`].
     pub thread: u64,
-    /// Start offset from the tracer's epoch, microseconds.
+    /// Offset from the store's epoch in microseconds: a span's start, or
+    /// the instant of a point or graph event.
     pub start_micros: u64,
-    /// Span duration in microseconds; `None` for point events.
-    pub duration_micros: Option<u64>,
-    /// Freeform detail (height, strategy, SMT answer, …); empty when none.
-    pub detail: String,
 }
 
-impl TraceEvent {
-    /// The event as a JSON object (one JSONL line in the `--trace` sink).
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("seq".to_owned(), Json::from(self.seq)),
-            ("name".to_owned(), Json::str(self.name)),
-            ("thread".to_owned(), Json::from(self.thread)),
-            ("start_micros".to_owned(), Json::from(self.start_micros)),
-        ];
-        if let Some(node) = self.node {
-            fields.push(("node".to_owned(), Json::from(node as u64)));
-        }
-        if let Some(d) = self.duration_micros {
-            fields.push(("duration_micros".to_owned(), Json::from(d)));
-        }
-        if !self.detail.is_empty() {
-            fields.push(("detail".to_owned(), Json::str(&self.detail)));
-        }
-        Json::Obj(fields)
-    }
-}
-
-/// A subproblem-graph event, buffered only on recording tracers; the DOT
-/// sink reconstructs the graph (with per-node solver attribution) from the
-/// sequence.
+/// A subproblem-graph event; the DOT renderer reconstructs the graph (with
+/// per-node solver attribution) from the sequence.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GraphEvent {
     /// A node joined the subproblem graph.
@@ -451,7 +381,7 @@ pub enum GraphEvent {
         /// Child (Type-A subproblem) node id.
         child: usize,
         /// The proposing strategy tag.
-        strategy: &'static str,
+        strategy: Cow<'static, str>,
     },
     /// A node was solved, with the engine that produced the solution
     /// (`"deduction"`, `"enumeration"`, or `"type-b"`).
@@ -459,7 +389,7 @@ pub enum GraphEvent {
         /// Node id.
         id: usize,
         /// Solver attribution tag.
-        engine: &'static str,
+        engine: Cow<'static, str>,
     },
     /// A node was proven unsolvable (dead).
     Dead {
@@ -468,34 +398,409 @@ pub enum GraphEvent {
     },
 }
 
-/// Aggregated statistics for one span-tree path (see
-/// [`Tracer::profile`]). `total_micros` is inclusive of child spans;
-/// `self_micros` has the time spent in same-tracer child spans subtracted,
-/// so summing `self_micros` over all paths gives wall time attributed
-/// exactly once.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PathStat {
-    /// Spans completed at this path.
-    pub count: u64,
-    /// Exclusive time: inclusive duration minus child-span time.
-    pub self_micros: u64,
-    /// Inclusive duration summed over all spans at this path.
-    pub total_micros: u64,
+/// One restart episode: the stretch of CDCL search between two restarts,
+/// closed by the restart it describes. The LBD aggregates carry the trend
+/// that preceded the restart (high mean = the episode was learning wide,
+/// poor-quality clauses when the restart budget expired).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RestartEpisode {
+    /// Conflicts since the previous restart (or query start).
+    pub conflicts: u64,
+    /// Sum of learned-clause LBDs over the episode.
+    pub lbd_sum: u64,
+    /// Learned clauses over the episode.
+    pub lbd_count: u64,
 }
 
-/// One open span on a thread's profiler stack.
+/// One drained CDCL search interval (all fields are deltas over the
+/// interval unless noted). Its JSON form is the `search_interval` line of
+/// the search log.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SearchRecord {
+    /// Zero-based interval index within the run (it continues the
+    /// `search.intervals_total` counter, so it is monotone across queries).
+    pub seq: u64,
+    /// Conflicts hit.
+    pub conflicts: u64,
+    /// Branching decisions made.
+    pub decisions: u64,
+    /// Literals assigned with an antecedent clause.
+    pub propagations: u64,
+    /// Restarts taken.
+    pub restarts: u64,
+    /// Assignments that flipped the variable's saved phase.
+    pub phase_flips: u64,
+    /// Total literals across learned clauses.
+    pub learned_literals: u64,
+    /// Sum of learned-clause LBDs.
+    pub lbd_sum: u64,
+    /// Learned clauses with a recorded LBD.
+    pub lbd_count: u64,
+    /// Clause-DB size when the interval closed (a gauge).
+    pub db_clauses: u64,
+    /// Restart episodes that ended inside the interval.
+    pub episodes: Vec<RestartEpisode>,
+}
+
+/// One record of the trace stream — the only recording type. Each record
+/// serialises to one JSONL line whose `type` key names its kind.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Record {
+    /// A closed span.
+    Span {
+        /// Store position, thread, and start offset.
+        stamp: Stamp,
+        /// Per-tracer span id, assigned when the span opened.
+        id: u64,
+        /// Id of the enclosing open span on the same thread and tracer.
+        parent: Option<u64>,
+        /// The stage name.
+        name: Cow<'static, str>,
+        /// Subproblem-graph node id, when the span is node-scoped.
+        node: Option<usize>,
+        /// Inclusive duration in microseconds.
+        duration_micros: u64,
+        /// Freeform detail (height, strategy, SMT answer, …); empty when none.
+        detail: String,
+    },
+    /// An instantaneous event: a tracer point or a flight-ring marker.
+    Point {
+        /// Store position, thread, and offset.
+        stamp: Stamp,
+        /// The stage or marker name.
+        name: Cow<'static, str>,
+        /// Subproblem-graph node id, when the event is node-scoped.
+        node: Option<usize>,
+        /// Freeform detail; empty when none.
+        detail: String,
+    },
+    /// A subproblem-graph event.
+    Graph {
+        /// Store position, thread, and offset.
+        stamp: Stamp,
+        /// The graph change.
+        event: GraphEvent,
+    },
+    /// A drained CDCL search interval. It carries no stamp, so its line is
+    /// exactly the search log's `search_interval` object.
+    Search(SearchRecord),
+}
+
+impl Record {
+    /// The record's stamp (`None` for search intervals).
+    pub fn stamp(&self) -> Option<&Stamp> {
+        match self {
+            Record::Span { stamp, .. } | Record::Point { stamp, .. } | Record::Graph { stamp, .. } => {
+                Some(stamp)
+            }
+            Record::Search(_) => None,
+        }
+    }
+
+    /// The record with its stamp filled in by the store that keeps it.
+    fn stamped(mut self, seq: u64, epoch: Instant, at: Instant) -> Record {
+        if let Record::Span { stamp, .. } | Record::Point { stamp, .. } | Record::Graph { stamp, .. } =
+            &mut self
+        {
+            *stamp = Stamp {
+                seq,
+                thread: thread_ordinal(),
+                start_micros: at.saturating_duration_since(epoch).as_micros() as u64,
+            };
+        }
+        self
+    }
+
+    /// The record as one JSON object (one line of the `--trace` sink).
+    pub fn to_json(&self) -> Json {
+        let (kind, stamp) = match self {
+            Record::Span { stamp, .. } => ("span", stamp),
+            Record::Point { stamp, .. } => ("point", stamp),
+            Record::Graph { stamp, .. } => ("graph", stamp),
+            Record::Search(search) => return search.to_json(),
+        };
+        let mut fields = vec![
+            ("type".to_owned(), Json::str(kind)),
+            ("seq".to_owned(), Json::from(stamp.seq)),
+            ("thread".to_owned(), Json::from(stamp.thread)),
+            ("start_micros".to_owned(), Json::from(stamp.start_micros)),
+        ];
+        match self {
+            Record::Span { id, parent, name, node, duration_micros, detail, .. } => {
+                fields.push(("id".to_owned(), Json::from(*id)));
+                if let Some(parent) = parent {
+                    fields.push(("parent".to_owned(), Json::from(*parent)));
+                }
+                event_fields(&mut fields, name, *node, Some(*duration_micros), detail);
+            }
+            Record::Point { name, node, detail, .. } => {
+                event_fields(&mut fields, name, *node, None, detail);
+            }
+            Record::Graph { event, .. } => fields.extend(event.json_fields()),
+            Record::Search(_) => {}
+        }
+        Json::Obj(fields)
+    }
+
+    /// Parses one record back from its [`Record::to_json`] form.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the unknown `type` or the missing field.
+    pub fn from_json(v: &Json) -> Result<Record, String> {
+        let kind = v.get("type").and_then(Json::as_str).ok_or("record has no `type`")?;
+        if kind == "search_interval" {
+            return SearchRecord::from_json(v).map(Record::Search);
+        }
+        let stamp = Stamp {
+            seq: uint(v, "seq")?,
+            thread: uint(v, "thread")?,
+            start_micros: uint(v, "start_micros")?,
+        };
+        let name = || text(v, "name").map(|s| Cow::Owned(s.to_owned()));
+        let node = opt_uint(v, "node")?.map(|n| n as usize);
+        let detail = v.get("detail").and_then(Json::as_str).unwrap_or("").to_owned();
+        match kind {
+            "span" => Ok(Record::Span {
+                stamp,
+                id: uint(v, "id")?,
+                parent: opt_uint(v, "parent")?,
+                name: name()?,
+                node,
+                duration_micros: uint(v, "duration_micros")?,
+                detail,
+            }),
+            "point" => Ok(Record::Point {
+                stamp,
+                name: name()?,
+                node,
+                detail,
+            }),
+            "graph" => Ok(Record::Graph {
+                stamp,
+                event: GraphEvent::from_json(v)?,
+            }),
+            other => Err(format!("unknown record type `{other}`")),
+        }
+    }
+
+    /// One human-readable timeline line, e.g.
+    /// `+12.345678s [t3] smt node=4 1250us answer=sat`.
+    pub fn render(&self) -> String {
+        let (stamp, text) = match self {
+            Record::Span { stamp, name, node, duration_micros, detail, .. } => {
+                (stamp, event_text(name, *node, Some(*duration_micros), detail))
+            }
+            Record::Point { stamp, name, node, detail } => {
+                (stamp, event_text(name, *node, None, detail))
+            }
+            Record::Graph { stamp, event } => (
+                stamp,
+                match event {
+                    GraphEvent::Node { id, label } => format!("graph node n{id} {label}"),
+                    GraphEvent::Edge { parent, child, strategy } => {
+                        format!("graph edge n{parent}->n{child} {strategy}")
+                    }
+                    GraphEvent::Solved { id, engine } => format!("graph solved n{id} by {engine}"),
+                    GraphEvent::Dead { id } => format!("graph dead n{id}"),
+                },
+            ),
+            Record::Search(s) => {
+                return format!(
+                    "search_interval seq={} conflicts={} decisions={} restarts={}",
+                    s.seq, s.conflicts, s.decisions, s.restarts
+                )
+            }
+        };
+        format!(
+            "+{}.{:06}s [t{}] {text}",
+            stamp.start_micros / 1_000_000,
+            stamp.start_micros % 1_000_000,
+            stamp.thread,
+        )
+    }
+}
+
+/// Appends a span's or point's own fields after the record head.
+fn event_fields(
+    fields: &mut Vec<(String, Json)>,
+    name: &str,
+    node: Option<usize>,
+    duration_micros: Option<u64>,
+    detail: &str,
+) {
+    fields.push(("name".to_owned(), Json::str(name)));
+    if let Some(node) = node {
+        fields.push(("node".to_owned(), Json::from(node)));
+    }
+    if let Some(d) = duration_micros {
+        fields.push(("duration_micros".to_owned(), Json::from(d)));
+    }
+    if !detail.is_empty() {
+        fields.push(("detail".to_owned(), Json::str(detail)));
+    }
+}
+
+/// A span's or point's timeline text: `name node=N 1250us detail`.
+fn event_text(name: &str, node: Option<usize>, duration_micros: Option<u64>, detail: &str) -> String {
+    let mut out = name.to_owned();
+    if let Some(node) = node {
+        out.push_str(&format!(" node={node}"));
+    }
+    if let Some(d) = duration_micros {
+        out.push_str(&format!(" {d}us"));
+    }
+    if !detail.is_empty() {
+        out.push(' ');
+        out.push_str(detail);
+    }
+    out
+}
+
+/// A required non-negative integer field.
+fn uint(v: &Json, key: &str) -> Result<u64, String> {
+    opt_uint(v, key)?.ok_or_else(|| format!("record has no `{key}`"))
+}
+
+/// An optional non-negative integer field.
+fn opt_uint(v: &Json, key: &str) -> Result<Option<u64>, String> {
+    match v.get(key) {
+        None => Ok(None),
+        Some(n) => n
+            .as_i64()
+            .and_then(|n| u64::try_from(n).ok())
+            .map(Some)
+            .ok_or_else(|| format!("`{key}` is not a non-negative integer")),
+    }
+}
+
+/// A required string field.
+fn text<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
+    v.get(key)
+        .and_then(Json::as_str)
+        .ok_or_else(|| format!("record has no string `{key}`"))
+}
+
+impl GraphEvent {
+    /// The event's fields after the record head: the `event` tag, then the
+    /// variant's own fields.
+    fn json_fields(&self) -> Vec<(String, Json)> {
+        let field = |k: &str, v: Json| (k.to_owned(), v);
+        match self {
+            GraphEvent::Node { id, label } => vec![
+                field("event", Json::str("node")),
+                field("node", Json::from(*id)),
+                field("label", Json::str(label)),
+            ],
+            GraphEvent::Edge { parent, child, strategy } => vec![
+                field("event", Json::str("edge")),
+                field("parent", Json::from(*parent)),
+                field("child", Json::from(*child)),
+                field("strategy", Json::str(strategy.as_ref())),
+            ],
+            GraphEvent::Solved { id, engine } => vec![
+                field("event", Json::str("solved")),
+                field("node", Json::from(*id)),
+                field("engine", Json::str(engine.as_ref())),
+            ],
+            GraphEvent::Dead { id } => vec![
+                field("event", Json::str("dead")),
+                field("node", Json::from(*id)),
+            ],
+        }
+    }
+
+    fn from_json(v: &Json) -> Result<GraphEvent, String> {
+        let node = || uint(v, "node").map(|n| n as usize);
+        let owned = |key| text(v, key).map(|s| Cow::Owned(s.to_owned()));
+        match text(v, "event")? {
+            "node" => Ok(GraphEvent::Node {
+                id: node()?,
+                label: text(v, "label")?.to_owned(),
+            }),
+            "edge" => Ok(GraphEvent::Edge {
+                parent: uint(v, "parent")? as usize,
+                child: uint(v, "child")? as usize,
+                strategy: owned("strategy")?,
+            }),
+            "solved" => Ok(GraphEvent::Solved {
+                id: node()?,
+                engine: owned("engine")?,
+            }),
+            "dead" => Ok(GraphEvent::Dead { id: node()? }),
+            other => Err(format!("unknown graph event `{other}`")),
+        }
+    }
+}
+
+impl SearchRecord {
+    /// The interval as its `search_interval` JSON object.
+    pub fn to_json(&self) -> Json {
+        let episodes = self
+            .episodes
+            .iter()
+            .map(|ep| {
+                Json::obj([
+                    ("conflicts", Json::from(ep.conflicts)),
+                    ("lbd_sum", Json::from(ep.lbd_sum)),
+                    ("lbd_count", Json::from(ep.lbd_count)),
+                ])
+            })
+            .collect();
+        Json::obj([
+            ("type", Json::str("search_interval")),
+            ("seq", Json::from(self.seq)),
+            ("conflicts", Json::from(self.conflicts)),
+            ("decisions", Json::from(self.decisions)),
+            ("propagations", Json::from(self.propagations)),
+            ("restarts", Json::from(self.restarts)),
+            ("phase_flips", Json::from(self.phase_flips)),
+            ("learned_literals", Json::from(self.learned_literals)),
+            ("lbd_sum", Json::from(self.lbd_sum)),
+            ("lbd_count", Json::from(self.lbd_count)),
+            ("db_clauses", Json::from(self.db_clauses)),
+            ("episodes", Json::Arr(episodes)),
+        ])
+    }
+
+    fn from_json(v: &Json) -> Result<SearchRecord, String> {
+        let episodes = v
+            .get("episodes")
+            .and_then(Json::as_arr)
+            .ok_or("search interval has no `episodes`")?
+            .iter()
+            .map(|ep| {
+                Ok(RestartEpisode {
+                    conflicts: uint(ep, "conflicts")?,
+                    lbd_sum: uint(ep, "lbd_sum")?,
+                    lbd_count: uint(ep, "lbd_count")?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(SearchRecord {
+            seq: uint(v, "seq")?,
+            conflicts: uint(v, "conflicts")?,
+            decisions: uint(v, "decisions")?,
+            propagations: uint(v, "propagations")?,
+            restarts: uint(v, "restarts")?,
+            phase_flips: uint(v, "phase_flips")?,
+            learned_literals: uint(v, "learned_literals")?,
+            lbd_sum: uint(v, "lbd_sum")?,
+            lbd_count: uint(v, "lbd_count")?,
+            db_clauses: uint(v, "db_clauses")?,
+            episodes,
+        })
+    }
+}
+
+/// One open span on a thread's stack.
 struct Frame {
     /// Identity of the owning tracer (`Arc::as_ptr` of its inner state), so
     /// interleaved spans from unrelated tracers don't corrupt each other's
     /// trees.
     tracer: usize,
     stage: Stage,
-    /// Semicolon-joined stage path from the thread's outermost same-tracer
-    /// span down to this one (folded-stack key).
-    path: String,
-    /// Inclusive time of already-closed direct children, credited by their
-    /// drops.
-    child_micros: u64,
+    id: u64,
 }
 
 thread_local! {
@@ -506,23 +811,23 @@ thread_local! {
 
 #[derive(Debug)]
 struct TracerInner {
-    recording: bool,
-    profiling: bool,
     epoch: Instant,
-    seq: AtomicU64,
     metrics: MetricsRegistry,
     progress: ProgressState,
-    events: Mutex<Vec<TraceEvent>>,
-    graph: Mutex<Vec<GraphEvent>>,
-    /// Per-path aggregates, keyed by the semicolon-joined stage path.
-    profile: Mutex<BTreeMap<String, PathStat>>,
+    /// The unbounded record buffer of a recording tracer (`--trace`).
+    buffer: Option<Mutex<Vec<Record>>>,
+    /// The bounded flight recorder (a daemon worker's ring).
+    ring: Option<Arc<EventRing>>,
+    /// Whether open-span stacks are mirrored into `live` and the progress
+    /// stage (the watchdog's view).
+    live_stacks: bool,
+    /// Whether spans get ids and frames: true when a record store is
+    /// attached or live stacks are on.
+    frames: bool,
+    next_span: AtomicU64,
     /// Current open-span stack of every thread (keyed by thread ordinal)
     /// that has a live span on this tracer.
     live: Mutex<BTreeMap<u64, Vec<&'static str>>>,
-    /// Optional flight recorder: every span close and point event is
-    /// mirrored into this ring even on non-recording tracers, so a
-    /// crashed request leaves a last-seconds timeline.
-    ring: Option<Arc<EventRing>>,
 }
 
 /// The tracing handle; see the module docs. Cloning shares all state.
@@ -536,38 +841,34 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// Builds a tracer with the given optional tiers: `record_events`
-    /// buffers span/point/graph events for the `--trace`/`--dot` sinks;
-    /// `profile_spans` maintains per-thread span stacks for the span-tree
-    /// profiler and live-stack table.
-    pub fn new(record_events: bool, profile_spans: bool) -> Tracer {
-        Tracer::build(record_events, profile_spans, None)
+    /// Builds a tracer with the given optional tiers: `record` keeps every
+    /// record in an unbounded buffer (the `--trace` sink); `live_stacks`
+    /// mirrors each thread's open-span stack for a watchdog.
+    pub fn new(record: bool, live_stacks: bool) -> Tracer {
+        Tracer::build(record.then(|| Mutex::new(Vec::new())), None, live_stacks)
     }
 
-    /// Like [`Tracer::new`], but additionally mirrors every span close and
-    /// point event into `ring` (the daemon's per-worker flight recorder).
-    /// The ring path is active even on metrics-only tracers.
-    pub fn with_flight_recorder(
-        record_events: bool,
-        profile_spans: bool,
-        ring: Arc<EventRing>,
+    /// A tracer whose records go only to `ring` (a daemon worker's flight
+    /// recorder), with optional live stacks.
+    pub fn with_flight_recorder(live_stacks: bool, ring: Arc<EventRing>) -> Tracer {
+        Tracer::build(None, Some(ring), live_stacks)
+    }
+
+    fn build(
+        buffer: Option<Mutex<Vec<Record>>>,
+        ring: Option<Arc<EventRing>>,
+        live_stacks: bool,
     ) -> Tracer {
-        Tracer::build(record_events, profile_spans, Some(ring))
-    }
-
-    fn build(record_events: bool, profile_spans: bool, ring: Option<Arc<EventRing>>) -> Tracer {
         Tracer(Arc::new(TracerInner {
-            recording: record_events,
-            profiling: profile_spans,
             epoch: Instant::now(),
-            seq: AtomicU64::new(0),
             metrics: MetricsRegistry::default(),
             progress: ProgressState::default(),
-            events: Mutex::new(Vec::new()),
-            graph: Mutex::new(Vec::new()),
-            profile: Mutex::new(BTreeMap::new()),
-            live: Mutex::new(BTreeMap::new()),
+            frames: buffer.is_some() || ring.is_some() || live_stacks,
+            buffer,
             ring,
+            live_stacks,
+            next_span: AtomicU64::new(0),
+            live: Mutex::new(BTreeMap::new()),
         }))
     }
 
@@ -577,33 +878,27 @@ impl Tracer {
         self.0.ring.as_ref()
     }
 
-    /// A tracer that keeps atomic metrics but records no events — the
+    /// A tracer that keeps atomic metrics but records nothing — the
     /// default, suitable for leaving permanently enabled.
     pub fn metrics_only() -> Tracer {
         Tracer::new(false, false)
     }
 
-    /// A tracer that buffers every span, point, and graph event in memory
-    /// (for the `--trace` / `--dot` sinks).
+    /// A tracer that buffers every record in memory (the `--trace` sink).
     pub fn recording() -> Tracer {
         Tracer::new(true, false)
     }
 
-    /// A tracer with the span-tree profiler enabled (for `--profile` and
-    /// the progress watchdog) but no event buffering.
-    pub fn profiling() -> Tracer {
+    /// A tracer with live stacks for the progress watchdog, recording
+    /// nothing.
+    pub fn watched() -> Tracer {
         Tracer::new(false, true)
     }
 
-    /// Whether events are buffered (detail closures are only evaluated when
-    /// this is true).
+    /// Whether a record store (buffer or ring) is attached. Detail, graph
+    /// and search closures run only when this is true.
     pub fn is_recording(&self) -> bool {
-        self.0.recording
-    }
-
-    /// Whether the span-tree profiler is maintaining per-thread stacks.
-    pub fn is_profiling(&self) -> bool {
-        self.0.profiling
+        self.0.buffer.is_some() || self.0.ring.is_some()
     }
 
     /// The always-on metrics registry.
@@ -616,15 +911,14 @@ impl Tracer {
         &self.0.progress
     }
 
-    /// Starts an RAII span for `stage`; metrics are recorded (and the event
-    /// buffered, on recording tracers) when the guard drops.
+    /// Starts an RAII span for `stage`; metrics are recorded (and a span
+    /// record emitted, when a store is attached) when the guard drops.
     pub fn span(&self, stage: Stage) -> SpanGuard<'_> {
-        if self.0.profiling {
-            self.push_frame(stage);
-        }
+        let frame = self.0.frames.then(|| self.push_frame(stage));
         SpanGuard {
             tracer: self,
             stage,
+            frame,
             node: None,
             detail: String::new(),
             start: Instant::now(),
@@ -637,46 +931,35 @@ impl Tracer {
         Arc::as_ptr(&self.0) as usize
     }
 
-    fn push_frame(&self, stage: Stage) {
+    /// Opens a frame on this thread's stack; returns the new span's id and
+    /// the id of its enclosing same-tracer span.
+    fn push_frame(&self, stage: Stage) -> (u64, Option<u64>) {
+        let key = self.frame_key();
+        let id = self.0.next_span.fetch_add(1, Ordering::Relaxed);
+        let parent = FRAMES.with(|frames| {
+            let mut frames = frames.borrow_mut();
+            let parent = frames.iter().rev().find(|f| f.tracer == key).map(|f| f.id);
+            frames.push(Frame { tracer: key, stage, id });
+            parent
+        });
+        if self.0.live_stacks {
+            self.sync_thread_state();
+        }
+        (id, parent)
+    }
+
+    /// Closes span `id`'s frame on this thread's stack.
+    fn pop_frame(&self, id: u64) {
         let key = self.frame_key();
         FRAMES.with(|frames| {
             let mut frames = frames.borrow_mut();
-            let path = match frames.iter().rev().find(|f| f.tracer == key) {
-                Some(parent) => format!("{};{}", parent.path, stage.name()),
-                None => stage.name().to_owned(),
-            };
-            frames.push(Frame {
-                tracer: key,
-                stage,
-                path,
-                child_micros: 0,
-            });
-        });
-        self.sync_thread_state();
-    }
-
-    /// Closes this thread's innermost frame for this tracer, folding its
-    /// `micros` inclusive duration into the per-path profile and crediting
-    /// it to the enclosing frame's child time.
-    fn pop_frame(&self, micros: u64) {
-        let key = self.frame_key();
-        let finished = FRAMES.with(|frames| {
-            let mut frames = frames.borrow_mut();
-            let idx = frames.iter().rposition(|f| f.tracer == key)?;
-            let frame = frames.remove(idx);
-            if let Some(parent) = frames.iter_mut().rev().find(|f| f.tracer == key) {
-                parent.child_micros += micros;
+            if let Some(idx) = frames.iter().rposition(|f| f.tracer == key && f.id == id) {
+                frames.remove(idx);
             }
-            Some(frame)
         });
-        if let Some(frame) = finished {
-            let mut profile = self.0.profile.lock().unwrap_or_else(|e| e.into_inner());
-            let stat = profile.entry(frame.path).or_default();
-            stat.count += 1;
-            stat.total_micros += micros;
-            stat.self_micros += micros.saturating_sub(frame.child_micros);
+        if self.0.live_stacks {
+            self.sync_thread_state();
         }
-        self.sync_thread_state();
     }
 
     /// Mirrors this thread's stack into the shared live table and keeps the
@@ -707,34 +990,9 @@ impl Tracer {
         }
     }
 
-    /// The per-path span-tree aggregates, sorted by path. Empty unless the
-    /// tracer was built with profiling enabled.
-    pub fn profile(&self) -> Vec<(String, PathStat)> {
-        self.0
-            .profile
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(k, &v)| (k.clone(), v))
-            .collect()
-    }
-
-    /// The profile rendered as inferno-compatible folded stacks: one
-    /// `path self_micros` line per path, sample values in microseconds of
-    /// exclusive time.
-    pub fn folded_stacks(&self) -> String {
-        let mut out = String::new();
-        for (path, stat) in self.profile() {
-            out.push_str(&path);
-            out.push(' ');
-            out.push_str(&stat.self_micros.to_string());
-            out.push('\n');
-        }
-        out
-    }
-
     /// Every thread's current open-span stack (outermost first), keyed by
-    /// thread ordinal. Only threads with at least one live span appear.
+    /// thread ordinal. Only threads with at least one live span appear, and
+    /// only on tracers built with live stacks.
     pub fn live_stacks(&self) -> Vec<(u64, Vec<&'static str>)> {
         self.0
             .live
@@ -745,71 +1003,75 @@ impl Tracer {
             .collect()
     }
 
-    /// Records an instantaneous point event (recording or flight-recorded
-    /// tracers only; the detail closure is not evaluated otherwise).
+    /// Records an instantaneous point event (the detail closure runs only
+    /// when a record store is attached).
     pub fn point(&self, stage: Stage, node: Option<usize>, detail: impl FnOnce() -> String) {
-        if !self.0.recording && self.0.ring.is_none() {
-            return;
+        if self.is_recording() {
+            self.emit(
+                Instant::now(),
+                Record::Point {
+                    stamp: Stamp::default(),
+                    name: Cow::Borrowed(stage.name()),
+                    node,
+                    detail: detail(),
+                },
+            );
         }
-        let detail = detail();
-        if let Some(ring) = &self.0.ring {
-            ring.record(stage.name(), node, None, detail.clone());
-        }
-        if !self.0.recording {
-            return;
-        }
-        let start_micros = self.0.epoch.elapsed().as_micros() as u64;
-        self.push_event(TraceEvent {
-            seq: 0, // assigned by push_event
-            name: stage.name(),
-            node,
-            thread: thread_ordinal(),
-            start_micros,
-            duration_micros: None,
-            detail,
-        });
     }
 
-    /// Buffers a subproblem-graph event (recording tracers only; the
-    /// closure is not evaluated otherwise).
+    /// Records a subproblem-graph event (the closure runs only when a
+    /// record store is attached).
     pub fn graph_event(&self, event: impl FnOnce() -> GraphEvent) {
-        if !self.0.recording {
-            return;
+        if self.is_recording() {
+            self.emit(
+                Instant::now(),
+                Record::Graph {
+                    stamp: Stamp::default(),
+                    event: event(),
+                },
+            );
         }
-        let mut graph = self.0.graph.lock().unwrap_or_else(|e| e.into_inner());
-        graph.push(event());
     }
 
-    /// A copy of the buffered graph events.
-    pub fn graph(&self) -> Vec<GraphEvent> {
-        self.0
-            .graph
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+    /// Records a drained CDCL search interval (the closure runs only when a
+    /// record store is attached).
+    pub fn search(&self, interval: impl FnOnce() -> SearchRecord) {
+        if self.is_recording() {
+            self.emit(Instant::now(), Record::Search(interval()));
+        }
     }
 
-    /// A copy of the buffered trace events.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.0
-            .events
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+    /// A copy of the buffered records, in push order (empty unless the
+    /// tracer is recording).
+    pub fn records(&self) -> Vec<Record> {
+        self.0.buffer.as_ref().map_or_else(Vec::new, |buffer| {
+            buffer.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        })
     }
 
-    fn push_event(&self, mut event: TraceEvent) {
-        event.seq = self.0.seq.fetch_add(1, Ordering::Relaxed);
-        let mut events = self.0.events.lock().unwrap_or_else(|e| e.into_inner());
-        events.push(event);
+    /// The one emit path: hands `record`, which happened at `at`, to every
+    /// attached store.
+    fn emit(&self, at: Instant, record: Record) {
+        if let Some(buffer) = &self.0.buffer {
+            if let Some(ring) = &self.0.ring {
+                ring.push(at, record.clone());
+            }
+            let mut buffer = buffer.lock().unwrap_or_else(|e| e.into_inner());
+            let seq = buffer.len() as u64;
+            buffer.push(record.stamped(seq, self.0.epoch, at));
+        } else if let Some(ring) = &self.0.ring {
+            ring.push(at, record);
+        }
     }
 }
 
 /// RAII span guard returned by [`Tracer::span`]; records the stage metrics
-/// (and buffers a span event on recording tracers) when dropped.
+/// (and emits a span record when a store is attached) when dropped.
 pub struct SpanGuard<'a> {
     tracer: &'a Tracer,
     stage: Stage,
+    /// The span's id and parent id, on tracers that keep frames.
+    frame: Option<(u64, Option<u64>)>,
     node: Option<usize>,
     detail: String,
     start: Instant,
@@ -823,11 +1085,11 @@ impl SpanGuard<'_> {
         self
     }
 
-    /// Attaches a detail string; the closure runs only on recording
-    /// tracers, so the disabled path never allocates.
+    /// Attaches a detail string; the closure runs only when a record store
+    /// is attached, so the metrics-only path never allocates.
     #[must_use]
     pub fn with_detail(mut self, detail: impl FnOnce() -> String) -> Self {
-        if self.tracer.0.recording {
+        if self.tracer.is_recording() {
             self.detail = detail();
         }
         self
@@ -838,31 +1100,22 @@ impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         let micros = self.start.elapsed().as_micros() as u64;
         self.tracer.metrics().stage(self.stage).record_micros(micros);
-        if self.tracer.0.profiling {
-            self.tracer.pop_frame(micros);
-        }
-        if let Some(ring) = &self.tracer.0.ring {
-            ring.record(
-                self.stage.name(),
-                self.node,
-                Some(micros),
-                self.detail.clone(),
-            );
-        }
-        if self.tracer.0.recording {
-            let start_micros = self
-                .start
-                .saturating_duration_since(self.tracer.0.epoch)
-                .as_micros() as u64;
-            self.tracer.push_event(TraceEvent {
-                seq: 0,
-                name: self.stage.name(),
-                node: self.node,
-                thread: thread_ordinal(),
-                start_micros,
-                duration_micros: Some(micros),
-                detail: std::mem::take(&mut self.detail),
-            });
+        if let Some((id, parent)) = self.frame {
+            self.tracer.pop_frame(id);
+            if self.tracer.is_recording() {
+                self.tracer.emit(
+                    self.start,
+                    Record::Span {
+                        stamp: Stamp::default(),
+                        id,
+                        parent,
+                        name: Cow::Borrowed(self.stage.name()),
+                        node: self.node,
+                        duration_micros: micros,
+                        detail: std::mem::take(&mut self.detail),
+                    },
+                );
+            }
         }
     }
 }
@@ -891,53 +1144,8 @@ pub fn thread_ordinal() -> u64 {
     ORDINAL.with(|&id| id)
 }
 
-/// One flight-recorder entry: a span close, point event, or free-form
-/// marker, stamped with its position in the ring's total order.
-#[derive(Clone, Debug)]
-pub struct RingEntry {
-    /// Position in the ring's total push order (monotone; survives wraps).
-    pub seq: u64,
-    /// Microseconds since the ring was created.
-    pub at_micros: u64,
-    /// Recording thread's [`thread_ordinal`].
-    pub thread: u64,
-    /// Stage or marker name.
-    pub name: &'static str,
-    /// Subproblem node id, when the event was node-scoped.
-    pub node: Option<usize>,
-    /// Span duration in microseconds; `None` for points and markers.
-    pub duration_micros: Option<u64>,
-    /// Freeform detail; empty when none was attached.
-    pub detail: String,
-}
-
-impl RingEntry {
-    /// One human-readable timeline line:
-    /// `+12.345678s [t3] smt node=4 1250us answer=sat`.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "+{}.{:06}s [t{}] {}",
-            self.at_micros / 1_000_000,
-            self.at_micros % 1_000_000,
-            self.thread,
-            self.name
-        );
-        if let Some(node) = self.node {
-            out.push_str(&format!(" node={node}"));
-        }
-        if let Some(d) = self.duration_micros {
-            out.push_str(&format!(" {d}us"));
-        }
-        if !self.detail.is_empty() {
-            out.push(' ');
-            out.push_str(&self.detail);
-        }
-        out
-    }
-}
-
 /// The flight recorder: a fixed-capacity ring buffer of the most recent
-/// tracer activity, cheap enough to leave attached to every daemon worker.
+/// [`Record`]s, cheap enough to leave attached to every daemon worker.
 /// Writers claim slots with one atomic increment and never block each
 /// other (each slot has its own lock, and two writers only share a slot
 /// after a full wrap); readers snapshot without stopping writers.
@@ -951,22 +1159,24 @@ impl RingEntry {
 ///
 /// The ring persists across requests on a worker, so a dump shows the
 /// last-seconds timeline *leading up to* a fault, including prior
-/// requests' tail activity.
+/// requests' tail activity. Stamps are offsets from the ring's creation.
 #[derive(Debug)]
 pub struct EventRing {
     epoch: Instant,
     next: AtomicU64,
-    slots: Vec<Mutex<Option<RingEntry>>>,
+    /// Each survivor with its claim number (search records carry no stamp
+    /// to order them by).
+    slots: Vec<Mutex<Option<(u64, Record)>>>,
 }
 
 impl EventRing {
-    /// A ring holding the most recent `capacity` entries (at least 1;
+    /// A ring holding the most recent `capacity` records (at least 1;
     /// rounded up to the next power of two — see the type docs).
     pub fn new(capacity: usize) -> EventRing {
         EventRing::with_first_seq(capacity, 0)
     }
 
-    /// Like [`EventRing::new`], but the first claimed entry gets sequence
+    /// Like [`EventRing::new`], but the first claimed record gets sequence
     /// number `first_seq`. Exists so tests (and the interleaving harness)
     /// can start the counter next to `u64::MAX` and exercise the wrap seam
     /// without 2^64 pushes.
@@ -986,60 +1196,56 @@ impl EventRing {
         self.slots.len()
     }
 
-    /// Records one entry, overwriting the oldest once the ring is full.
-    pub fn record(
-        &self,
-        name: &'static str,
-        node: Option<usize>,
-        duration_micros: Option<u64>,
-        detail: String,
-    ) {
+    /// Stores one record that happened at `at`, overwriting the oldest once
+    /// the ring is full.
+    fn push(&self, at: Instant, record: Record) {
         let seq = self.next.fetch_add(1, Ordering::Relaxed);
-        let entry = RingEntry {
-            seq,
-            at_micros: self.epoch.elapsed().as_micros() as u64,
-            thread: thread_ordinal(),
-            name,
-            node,
-            duration_micros,
-            detail,
-        };
+        let record = record.stamped(seq, self.epoch, at);
         // Power-of-two mask, not `%`: stays continuous when `seq` wraps.
         let slot = (seq & (self.slots.len() as u64 - 1)) as usize;
-        *self.slots[slot].lock().unwrap_or_else(|e| e.into_inner()) = Some(entry);
+        *self.slots[slot].lock().unwrap_or_else(|e| e.into_inner()) = Some((seq, record));
     }
 
-    /// Records a free-form marker (request start/finish, fault notes).
+    /// Records a free-form marker (request start/finish, fault notes) as a
+    /// point record.
     pub fn note(&self, name: &'static str, detail: impl Into<String>) {
-        self.record(name, None, None, detail.into());
+        self.push(
+            Instant::now(),
+            Record::Point {
+                stamp: Stamp::default(),
+                name: Cow::Borrowed(name),
+                node: None,
+                detail: detail.into(),
+            },
+        );
     }
 
-    /// Entries pushed over the ring's lifetime (not capped at capacity).
+    /// Records pushed over the ring's lifetime (not capped at capacity).
     /// This is the raw claim counter, so it wraps with `seq`.
     pub fn recorded(&self) -> u64 {
         self.next.load(Ordering::Relaxed)
     }
 
-    /// The surviving entries in push order (oldest first). A torn slot
-    /// (overwritten mid-snapshot) simply carries the newer entry. Order is
+    /// The surviving records in push order (oldest first). A torn slot
+    /// (overwritten mid-snapshot) simply carries the newer record. Order is
     /// restored by wrapping distance from the claim counter — survivors
     /// all sit within `capacity` claims of `next`, so the distance is
     /// small and well-ordered even when raw `seq` has wrapped `u64::MAX`.
-    pub fn recent(&self) -> Vec<RingEntry> {
+    pub fn recent(&self) -> Vec<Record> {
         let next = self.next.load(Ordering::Relaxed);
-        let mut out: Vec<RingEntry> = self
+        let mut out: Vec<(u64, Record)> = self
             .slots
             .iter()
             .filter_map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).clone())
             .collect();
-        out.sort_by_key(|e| std::cmp::Reverse(next.wrapping_sub(e.seq)));
-        out
+        out.sort_by_key(|(seq, _)| std::cmp::Reverse(next.wrapping_sub(*seq)));
+        out.into_iter().map(|(_, record)| record).collect()
     }
 
-    /// The timeline rendered one line per entry (oldest first), ready to
+    /// The timeline rendered one line per record (oldest first), ready to
     /// write into a diagnostics sink.
     pub fn render_timeline(&self) -> Vec<String> {
-        self.recent().iter().map(RingEntry::render).collect()
+        self.recent().iter().map(Record::render).collect()
     }
 }
 
@@ -1058,7 +1264,7 @@ mod tests {
             let _s = span!(t, Stage::Deduct);
         }
         assert_eq!(t.metrics().stage(Stage::Deduct).count(), 2);
-        assert!(t.events().is_empty(), "disabled tracer buffers no events");
+        assert!(t.records().is_empty(), "disabled tracer keeps no records");
         // Detail closures must not run when disabled.
         let _s = t
             .span(Stage::Smt)
@@ -1081,6 +1287,24 @@ mod tests {
         assert_eq!(snap.max_micros, 15_000_000);
     }
 
+    /// The span fields of a record (panics on other kinds).
+    fn span_fields(r: &Record) -> (u64, Option<u64>, &str, Option<usize>, u64, &str) {
+        match r {
+            Record::Span { id, parent, name, node, duration_micros, detail, .. } => {
+                (*id, *parent, name, *node, *duration_micros, detail)
+            }
+            other => panic!("not a span: {other:?}"),
+        }
+    }
+
+    /// The name and detail of a span or point record.
+    fn name_and_detail(r: &Record) -> (&str, &str) {
+        match r {
+            Record::Span { name, detail, .. } | Record::Point { name, detail, .. } => (name, detail),
+            other => panic!("not a span or point: {other:?}"),
+        }
+    }
+
     #[test]
     fn spans_nest_and_order_in_the_event_buffer() {
         let t = Tracer::recording();
@@ -1095,20 +1319,24 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        let events = t.events();
-        assert_eq!(events.len(), 2);
+        let records = t.records();
+        assert_eq!(records.len(), 2);
         // Spans complete inside-out: the inner span lands first.
-        assert_eq!(events[0].name, "smt");
-        assert_eq!(events[1].name, "enumerate");
-        assert!(events[0].seq < events[1].seq);
+        let (inner_id, inner_parent, inner_name, _, inner_micros, _) = span_fields(&records[0]);
+        let (outer_id, outer_parent, outer_name, outer_node, outer_micros, outer_detail) =
+            span_fields(&records[1]);
+        assert_eq!((inner_name, outer_name), ("smt", "enumerate"));
+        let (inner, outer) = (records[0].stamp().unwrap(), records[1].stamp().unwrap());
+        assert_eq!((inner.seq, outer.seq), (0, 1));
+        // The inner span's parent is exactly the outer span.
+        assert_eq!(inner_parent, Some(outer_id));
+        assert_eq!(outer_parent, None);
+        assert_ne!(inner_id, outer_id);
         // The outer span started first and fully contains the inner one.
-        let (inner, outer) = (&events[0], &events[1]);
         assert!(outer.start_micros <= inner.start_micros);
-        let outer_end = outer.start_micros + outer.duration_micros.unwrap();
-        let inner_end = inner.start_micros + inner.duration_micros.unwrap();
-        assert!(inner_end <= outer_end, "inner span must nest inside outer");
-        assert_eq!(outer.detail, "height=2");
-        assert_eq!(outer.node, Some(0));
+        assert!(inner.start_micros + inner_micros <= outer.start_micros + outer_micros);
+        assert_eq!(outer_detail, "height=2");
+        assert_eq!(outer_node, Some(0));
     }
 
     #[test]
@@ -1143,7 +1371,8 @@ mod tests {
     fn graph_events_buffer_only_when_recording() {
         let off = Tracer::metrics_only();
         off.graph_event(|| panic!("graph closure evaluated on disabled tracer"));
-        assert!(off.graph().is_empty());
+        off.search(|| panic!("search closure evaluated on disabled tracer"));
+        assert!(off.records().is_empty());
         let on = Tracer::recording();
         on.graph_event(|| GraphEvent::Node {
             id: 0,
@@ -1151,87 +1380,90 @@ mod tests {
         });
         on.graph_event(|| GraphEvent::Solved {
             id: 0,
-            engine: "deduction",
+            engine: "deduction".into(),
         });
-        assert_eq!(on.graph().len(), 2);
+        let records = on.records();
+        assert_eq!(records.len(), 2);
+        assert!(matches!(
+            &records[1],
+            Record::Graph { event: GraphEvent::Solved { id: 0, .. }, .. }
+        ));
     }
 
     #[test]
     fn event_json_has_the_schema_fields() {
         let t = Tracer::recording();
         t.point(Stage::Smt, Some(7), || "answer=sat".into());
-        let events = t.events();
-        let json = events[0].to_json().to_string();
-        for needle in ["\"name\":\"smt\"", "\"node\":7", "\"detail\":\"answer=sat\""] {
+        let records = t.records();
+        let json = records[0].to_json().to_string();
+        for needle in [
+            "\"type\":\"point\"",
+            "\"name\":\"smt\"",
+            "\"node\":7",
+            "\"detail\":\"answer=sat\"",
+        ] {
             assert!(json.contains(needle), "{needle} missing from {json}");
         }
         // Round-trips through the parser.
         let parsed = Json::parse(&json).unwrap();
         assert_eq!(parsed.get("name").and_then(Json::as_str), Some("smt"));
+        assert_eq!(Record::from_json(&parsed).unwrap(), records[0]);
     }
 
     #[test]
-    fn profiler_builds_paths_and_subtracts_child_time() {
-        let t = Tracer::profiling();
+    fn every_record_kind_round_trips_through_json() {
+        let t = Tracer::recording();
         {
-            let _outer = t.span(Stage::Enumerate);
-            std::thread::sleep(Duration::from_millis(4));
-            {
-                let _inner = t.span(Stage::Smt);
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            {
-                let _inner = t.span(Stage::Smt);
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            let _outer = t.span(Stage::Deduct).with_node(2).with_detail(|| "pass=1".into());
+            drop(t.span(Stage::Smt));
         }
-        let profile: BTreeMap<String, PathStat> = t.profile().into_iter().collect();
-        assert_eq!(profile.len(), 2, "{profile:?}");
-        let outer = profile["enumerate"];
-        let inner = profile["enumerate;smt"];
-        assert_eq!(outer.count, 1);
-        assert_eq!(inner.count, 2);
-        // Outer self-time excludes the nested SMT spans.
-        assert_eq!(
-            outer.self_micros,
-            outer.total_micros - inner.total_micros,
-            "{profile:?}"
-        );
-        assert!(inner.total_micros >= 4_000, "{profile:?}");
-        assert!(outer.total_micros >= 8_000, "{profile:?}");
-        // Per-stage metrics totals equal the sum of path totals with that
-        // stage as leaf — the invariant the CI agreement check relies on.
-        assert_eq!(
-            t.metrics().stage(Stage::Smt).total_micros(),
-            inner.total_micros
-        );
-        assert_eq!(
-            t.metrics().stage(Stage::Enumerate).total_micros(),
-            outer.total_micros
-        );
-    }
-
-    #[test]
-    fn folded_stacks_render_one_line_per_path() {
-        let t = Tracer::profiling();
-        {
-            let _a = t.span(Stage::FixedHeight);
-            let _b = t.span(Stage::Smt);
+        t.point(Stage::Verify, None, String::new);
+        for event in [
+            GraphEvent::Node { id: 0, label: "(= (f x) \"q\")".into() },
+            GraphEvent::Edge { parent: 0, child: 1, strategy: "subterm".into() },
+            GraphEvent::Solved { id: 1, engine: "deduction".into() },
+            GraphEvent::Dead { id: 0 },
+        ] {
+            t.graph_event(|| event);
         }
-        let folded = t.folded_stacks();
-        let lines: Vec<&str> = folded.lines().collect();
-        assert_eq!(lines.len(), 2, "{folded}");
-        assert!(lines[0].starts_with("fixed-height "), "{folded}");
-        assert!(lines[1].starts_with("fixed-height;smt "), "{folded}");
-        for line in lines {
-            let value = line.rsplit(' ').next().unwrap();
-            value.parse::<u64>().expect("folded value is an integer");
+        t.search(|| SearchRecord {
+            seq: 3,
+            conflicts: 4096,
+            decisions: 5120,
+            lbd_sum: 20_480,
+            lbd_count: 4096,
+            episodes: vec![RestartEpisode { conflicts: 128, lbd_sum: 640, lbd_count: 128 }],
+            ..SearchRecord::default()
+        });
+        let records = t.records();
+        let kinds: Vec<&str> = records
+            .iter()
+            .map(|r| match r {
+                Record::Span { .. } => "span",
+                Record::Point { .. } => "point",
+                Record::Graph { .. } => "graph",
+                Record::Search(_) => "search",
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            ["span", "span", "point", "graph", "graph", "graph", "graph", "search"]
+        );
+        for r in &records {
+            let line = r.to_json().to_string();
+            let back = Record::from_json(&Json::parse(&line).unwrap()).unwrap();
+            assert_eq!(&back, r, "{line}");
         }
+        // The search line is exactly the search log's interval object.
+        let line = records[7].to_json().to_string();
+        assert!(line.starts_with("{\"type\":\"search_interval\",\"seq\":3,"), "{line}");
+        assert!(!line.contains("thread"), "{line}");
+        assert!(Record::from_json(&Json::parse("{\"type\":\"nope\"}").unwrap()).is_err());
     }
 
     #[test]
     fn live_stacks_track_open_spans_and_progress_stage() {
-        let t = Tracer::profiling();
+        let t = Tracer::watched();
         assert!(t.live_stacks().is_empty());
         {
             let _outer = t.span(Stage::Deduct);
@@ -1250,29 +1482,13 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_tracers_keep_separate_trees() {
-        let a = Tracer::profiling();
-        let b = Tracer::profiling();
-        {
-            let _a1 = a.span(Stage::Enumerate);
-            let _b1 = b.span(Stage::Worker);
-            let _a2 = a.span(Stage::Smt);
-        }
-        let paths_a: Vec<String> = a.profile().into_iter().map(|(p, _)| p).collect();
-        let paths_b: Vec<String> = b.profile().into_iter().map(|(p, _)| p).collect();
-        assert_eq!(paths_a, vec!["enumerate", "enumerate;smt"]);
-        assert_eq!(paths_b, vec!["worker"]);
-    }
-
-    #[test]
     fn non_profiling_tracer_records_no_paths() {
         let t = Tracer::metrics_only();
         {
             let _s = t.span(Stage::Smt);
         }
-        assert!(!t.is_profiling());
-        assert!(t.profile().is_empty());
-        assert!(t.folded_stacks().is_empty());
+        assert!(!t.is_recording());
+        assert!(t.records().is_empty());
         assert!(t.live_stacks().is_empty());
         // Metrics still land.
         assert_eq!(t.metrics().stage(Stage::Smt).count(), 1);
@@ -1353,7 +1569,7 @@ mod tests {
         assert_eq!(ring.recorded(), 10);
         let recent = ring.recent();
         assert_eq!(recent.len(), 4, "capacity bounds survivors");
-        let seqs: Vec<u64> = recent.iter().map(|e| e.seq).collect();
+        let seqs: Vec<u64> = recent.iter().map(|e| e.stamp().unwrap().seq).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9], "oldest evicted, order kept");
         let lines = ring.render_timeline();
         assert!(lines[3].contains("request") && lines[3].contains("id=j9"), "{lines:?}");
@@ -1372,12 +1588,13 @@ mod tests {
         assert_eq!(recent.len(), 4, "oldest entry evicted across the wrap");
         // Push order is preserved even though raw seq wrapped: sorting by
         // raw seq would put the post-wrap entries (j3, j4) first.
-        let details: Vec<&str> = recent.iter().map(|e| e.detail.as_str()).collect();
+        let details: Vec<&str> = recent.iter().map(|e| name_and_detail(e).1).collect();
         assert_eq!(details, vec!["id=j1", "id=j2", "id=j3", "id=j4"]);
         // The seam really is inside the window: survivors carry both
         // near-MAX and near-zero raw seqs.
-        assert!(recent.iter().any(|e| e.seq >= u64::MAX - 1), "{recent:?}");
-        assert!(recent.iter().any(|e| e.seq < 2), "{recent:?}");
+        let seqs: Vec<u64> = recent.iter().map(|e| e.stamp().unwrap().seq).collect();
+        assert!(seqs.iter().any(|&s| s >= u64::MAX - 1), "{seqs:?}");
+        assert!(seqs.iter().any(|&s| s < 2), "{seqs:?}");
     }
 
     #[test]
@@ -1392,33 +1609,45 @@ mod tests {
         ring.note("b", "");
         let recent = ring.recent();
         assert_eq!(recent.len(), 2, "wrap-adjacent claims keep both entries");
-        assert_eq!(recent[0].name, "a");
-        assert_eq!(recent[1].name, "b");
+        assert_eq!(name_and_detail(&recent[0]).0, "a");
+        assert_eq!(name_and_detail(&recent[1]).0, "b");
     }
 
     #[test]
     fn ring_attached_tracer_mirrors_spans_and_points() {
         let ring = Arc::new(EventRing::new(16));
-        let t = Tracer::with_flight_recorder(false, false, Arc::clone(&ring));
+        let t = Tracer::with_flight_recorder(false, Arc::clone(&ring));
         assert!(t.flight_recorder().is_some());
         {
             let _s = t.span(Stage::Smt).with_node(3);
         }
-        // Points reach the ring even though the tracer records no events.
+        // Points reach the ring even though the tracer keeps no buffer.
         t.point(Stage::Verify, None, || "answer=sat".into());
-        assert!(t.events().is_empty(), "metrics-only: no event buffer");
+        assert!(t.records().is_empty(), "ring only: no record buffer");
         let entries = ring.recent();
         assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].name, "smt");
-        assert_eq!(entries[0].node, Some(3));
-        assert!(entries[0].duration_micros.is_some());
-        assert_eq!(entries[1].name, "verify");
-        assert_eq!(entries[1].detail, "answer=sat");
-        assert!(entries[1].duration_micros.is_none());
+        let (_, _, name, node, _, _) = span_fields(&entries[0]);
+        assert_eq!((name, node), ("smt", Some(3)));
+        assert!(matches!(&entries[1], Record::Point { .. }));
+        assert_eq!(name_and_detail(&entries[1]), ("verify", "answer=sat"));
         // A plain tracer still skips the detail closure entirely.
         Tracer::metrics_only().point(Stage::Smt, None, || {
             panic!("detail evaluated without ring or recording")
         });
+    }
+
+    #[test]
+    fn ring_only_span_details_reach_the_ring() {
+        let ring = Arc::new(EventRing::new(8));
+        let t = Tracer::with_flight_recorder(false, Arc::clone(&ring));
+        drop(
+            t.span(Stage::Enumerate)
+                .with_detail(|| "answer=sat rung=2".into()),
+        );
+        let entries = ring.recent();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(name_and_detail(&entries[0]), ("enumerate", "answer=sat rung=2"));
+        assert!(ring.render_timeline()[0].ends_with("answer=sat rung=2"));
     }
 
     #[test]
@@ -1441,8 +1670,9 @@ mod tests {
         let recent = ring.recent();
         assert_eq!(recent.len(), 32);
         // Strictly increasing seq with no duplicates even under contention.
-        for pair in recent.windows(2) {
-            assert!(pair[0].seq < pair[1].seq, "{:?}", (pair[0].seq, pair[1].seq));
+        let seqs: Vec<u64> = recent.iter().map(|e| e.stamp().unwrap().seq).collect();
+        for pair in seqs.windows(2) {
+            assert!(pair[0] < pair[1], "{pair:?}");
         }
     }
 

@@ -34,7 +34,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 const USAGE: &str = "usage: bench run [--out FILE] [--timeout SECS] \
-[--track INV|CLIA|General] [--lineup competition|full] [--theory auto|simplex|dl]\n\
+[--track INV|CLIA|General] [--lineup competition|full] [--theory auto|simplex]\n\
        bench compare OLD.json NEW.json [--noise FRAC] [--min-seconds S] [--solved-only]\n\
        bench explain OLD.json NEW.json\n\
   run writes the trajectory document (observability_json) for the suite;\n\
@@ -89,7 +89,7 @@ fn run_mode(args: &[String]) -> Result<ExitCode, String> {
             "--track" => track = Some(it.next().ok_or("--track needs a name")?.clone()),
             "--lineup" => lineup = it.next().ok_or("--lineup needs a value")?.clone(),
             "--theory" => {
-                let v = it.next().ok_or("--theory needs auto|simplex|dl")?;
+                let v = it.next().ok_or("--theory needs auto|simplex")?;
                 smtkit::set_process_default_theory(v.parse()?);
             }
             other => return Err(format!("unknown run flag `{other}`")),

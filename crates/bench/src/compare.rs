@@ -178,75 +178,21 @@ impl BenchDoc {
         })
     }
 
-    /// Parses a `synthlint --json` report into a comparable document: one
-    /// run per rule, benchmark = rule name, solver = `synthlint`, solved =
-    /// zero unsuppressed findings, and `seconds` carrying the finding
-    /// *count* (a count, not a time — a rule growing findings between two
-    /// snapshots shows up through the same regression gates as a
-    /// slowdown). The suppressed count rides in `stage_micros` under
-    /// `"suppressed"` so pragma churn is visible in stage drill-downs.
-    ///
-    /// # Errors
-    ///
-    /// A message when the text is not a synthlint report or summary rows
-    /// lack required fields.
-    pub fn parse_lint_json(text: &str) -> Result<BenchDoc, String> {
-        let doc = Json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-        if doc.get("tool").and_then(Json::as_str) != Some("synthlint") {
-            return Err("missing `tool: synthlint` marker".to_owned());
-        }
-        let version = doc
-            .get("version")
-            .and_then(Json::as_i64)
-            .ok_or("missing `version` field")?;
-        let summary = doc
-            .get("summary")
-            .and_then(Json::as_arr)
-            .ok_or("missing `summary` array")?;
-        let mut runs = Vec::with_capacity(summary.len());
-        for (i, row) in summary.iter().enumerate() {
-            let rule = row
-                .get("rule")
-                .and_then(Json::as_str)
-                .ok_or(format!("summary row {i}: missing `rule`"))?;
-            let findings = row
-                .get("findings")
-                .and_then(Json::as_i64)
-                .ok_or(format!("summary row {i}: missing `findings`"))?;
-            let suppressed = row.get("suppressed").and_then(Json::as_i64).unwrap_or(0);
-            let mut stage_micros = BTreeMap::new();
-            stage_micros.insert("suppressed".to_owned(), suppressed.max(0) as u64);
-            runs.push(BenchRun {
-                benchmark: rule.to_owned(),
-                solver: "synthlint".to_owned(),
-                solved: findings == 0,
-                seconds: findings.max(0) as f64,
-                stage_micros,
-                search: BTreeMap::new(),
-            });
-        }
-        Ok(BenchDoc { version, runs })
-    }
-
     /// Parses any supported input by shape: a `BENCH*.json` trajectory
-    /// document, a `synthlint --json` report, or a `dryadsynthd` audit
-    /// log.
+    /// document or a `dryadsynthd` audit log.
     ///
     /// # Errors
     ///
-    /// A message combining the parsers' complaints when the text is none
-    /// of the three.
+    /// A message combining both parsers' complaints when the text is
+    /// neither.
     pub fn parse_any(text: &str) -> Result<BenchDoc, String> {
         let doc_err = match BenchDoc::parse(text) {
             Ok(doc) => return Ok(doc),
             Err(e) => e,
         };
-        if let Ok(doc) = BenchDoc::parse_lint_json(text) {
-            return Ok(doc);
-        }
         BenchDoc::parse_audit_jsonl(text).map_err(|audit_err| {
             format!(
-                "neither a bench document ({doc_err}), a synthlint report, nor an audit log ({audit_err})"
+                "neither a bench document ({doc_err}) nor an audit log ({audit_err})"
             )
         })
     }
@@ -735,47 +681,5 @@ mod tests {
             BenchDoc::parse_any("{\"id\": \"only-shed\", \"outcome\": \"overloaded\"}").is_err(),
             "an audit log with no engine runs has nothing to compare"
         );
-    }
-
-    const LINT: &str = r#"{"version": 1, "tool": "synthlint", "files": 73,
-        "errors": 1, "warnings": 0,
-        "summary": [
-            {"rule": "unpolled-loop", "findings": 1, "suppressed": 9},
-            {"rule": "lock-order", "findings": 0, "suppressed": 0},
-            {"rule": "relaxed-handoff", "findings": 0, "suppressed": 6},
-            {"rule": "panic-surface", "findings": 0, "suppressed": 4},
-            {"rule": "pragma", "findings": 0, "suppressed": 0}
-        ],
-        "findings": [], "suppressed": []}"#;
-
-    #[test]
-    fn parse_lint_json_maps_rules_to_runs() {
-        let doc = BenchDoc::parse_lint_json(LINT).unwrap();
-        assert_eq!(doc.version, 1);
-        assert_eq!(doc.runs.len(), 5);
-        let unpolled = &doc.runs[0];
-        assert_eq!(unpolled.benchmark, "unpolled-loop");
-        assert_eq!(unpolled.solver, "synthlint");
-        assert!(!unpolled.solved, "a rule with findings is a failure");
-        assert!((unpolled.seconds - 1.0).abs() < f64::EPSILON);
-        assert_eq!(unpolled.stage_micros["suppressed"], 9);
-        assert!(doc.runs[1].solved, "clean rules count as solved");
-        // parse_any routes by the tool marker.
-        assert_eq!(BenchDoc::parse_any(LINT).unwrap().runs.len(), 5);
-        // An object without the marker is not mistaken for a lint report.
-        let err = BenchDoc::parse_lint_json("{\"version\": 1}").unwrap_err();
-        assert!(err.contains("synthlint"), "{err}");
-    }
-
-    #[test]
-    fn lint_snapshots_compare_like_trajectories() {
-        // A rule gaining findings between snapshots trips the solved gate.
-        let clean = LINT.replace("\"findings\": 1", "\"findings\": 0");
-        let old = BenchDoc::parse_any(&clean).unwrap();
-        let new = BenchDoc::parse_any(LINT).unwrap();
-        let report = compare(&old, &new, &CompareConfig::default());
-        assert!(report.has_regressions(), "{}", report.render());
-        let quiet = compare(&new, &new, &CompareConfig::default());
-        assert!(!quiet.has_regressions(), "{}", quiet.render());
     }
 }

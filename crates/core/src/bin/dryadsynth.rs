@@ -5,30 +5,35 @@
 //! ```text
 //! dryadsynth [--engine coop|enum|deduct|euback|eusolver|cvc4|loopinvgen]
 //!            [--timeout SECONDS] [--fuel STEPS] [--threads N] [--stats]
-//!            [--json] [--trace FILE] [--dot FILE] [--profile FILE]
-//!            [--progress SECS] [--stall-after SECS] [--certify]
-//!            [--theory auto|simplex|dl] FILE.sl
+//!            [--json] [--trace FILE] [--progress SECS] [--stall-after SECS]
+//!            [--certify] [--theory auto|simplex] FILE.sl
 //! dryadsynth --lint FILE.sl
+//! dryadsynth --render dot|folded|search TRACE.jsonl
 //! ```
 //!
 //! Reads a SyGuS-IF problem, solves it, and prints the solution in the
 //! competition's `define-fun` answer format (or `(fail)` / `(timeout)` /
 //! `(resource-exhausted)`). With `--json` the answer is replaced by a
-//! versioned machine-readable run report; `--trace FILE` writes the run's
-//! span/event log as JSONL and `--dot FILE` writes the subproblem graph
-//! with per-node solver attribution as Graphviz DOT.
+//! versioned machine-readable run report. `--trace FILE` writes the run's
+//! records as JSONL — every span (with its id and parent span id), point,
+//! subproblem-graph event, and CDCL search interval — flushed by a drop
+//! guard, so the file survives panics, resource exhaustion, and timeouts;
+//! the `--json` report of a traced run carries the top span-tree paths as
+//! a `profile` table.
 //!
-//! `--profile FILE` turns on the span-tree profiler and writes the run's
-//! call tree as inferno-compatible folded stacks (`path self_micros` per
-//! line); the `--json` report then carries the top paths as a `profile`
-//! table. `--progress SECS` prints a heartbeat line to stderr every SECS
-//! seconds (current stage, height, CEGIS rounds, counterexamples, SMT
+//! `--render KIND TRACE.jsonl` skips solving: it reads a `--trace` file and
+//! prints one offline rendering of it to stdout — `dot`, the subproblem
+//! graph with per-node solver attribution as Graphviz DOT; `folded`, the
+//! span tree as inferno-compatible folded stacks (`path self_micros` per
+//! line); or `search`, the search log (one `search_interval` JSON object
+//! per line, summing exactly to the report's `search` block).
+//!
+//! `--progress SECS` prints a heartbeat line to stderr every SECS seconds
+//! (current stage, height, CEGIS rounds, counterexamples, SMT
 //! checks/conflicts, remaining fuel and time); `--stall-after SECS` dumps a
 //! full diagnostic (every thread's open span stack, progress counters,
 //! active SMT query size, metric counters) when no progress counter
-//! advances for SECS seconds — one dump per stall episode. All three file
-//! sinks are flushed by a drop guard, so they survive panics, resource
-//! exhaustion, and timeouts.
+//! advances for SECS seconds — one dump per stall episode.
 //!
 //! With `--certify`, every solved answer is re-validated end to end (grammar
 //! membership, sort check, independent SMT verification) before it is
@@ -43,8 +48,7 @@
 //! [`smtkit::TheorySelect`]): `auto` (default) dispatches queries whose
 //! atoms all fit the difference-logic fragment to the specialized
 //! constraint-graph engine, `simplex` forces the general warm simplex
-//! everywhere (the A/B baseline), `dl` prefers difference logic where it
-//! fits.
+//! everywhere (the A/B baseline).
 //!
 //! Exit codes distinguish the failure modes:
 //!
@@ -52,16 +56,16 @@
 //! |------|----------------------------------------------------|
 //! | 0    | solved (and certified, when requested)             |
 //! | 1    | gave up (search exhausted / unsupported problem)   |
-//! | 2    | usage, I/O, or parse error                         |
+//! | 2    | usage, I/O, or parse error (trace files included)  |
 //! | 4    | wall-clock timeout                                 |
 //! | 5    | resource exhaustion (fuel / memory) or cancellation|
 //! | 6    | engine fault (a contained panic) and no solution   |
 //! | 7    | certification failure or error-level lint findings |
 
 use dryadsynth::{
-    Budget, CoopStats, Cvc4Baseline, DryadSynth, DryadSynthConfig, Engine, EuSolverBaseline,
-    LoopInvGenBaseline, SinkGuard, SolveRequest, SynthOutcome, Synthesizer, Watchdog,
-    WatchdogConfig,
+    parse_trace, Budget, CoopStats, Cvc4Baseline, DryadSynth, DryadSynthConfig, Engine,
+    EuSolverBaseline, LoopInvGenBaseline, Rendering, SinkGuard, SolveRequest, SynthOutcome,
+    Synthesizer, Watchdog, WatchdogConfig,
 };
 use std::process::ExitCode;
 use std::time::Duration;
@@ -70,20 +74,20 @@ use sygus_ast::{lint_grammar, Tracer};
 const USAGE: &str = "usage: dryadsynth \
 [--engine coop|enum|deduct|euback|eusolver|cvc4|loopinvgen] \
 [--timeout SECONDS] [--fuel STEPS] [--threads N] [--stats] \
-[--json] [--trace FILE] [--dot FILE] [--profile FILE] [--search-log FILE] \
-[--progress SECS] [--stall-after SECS] [--certify] \
-[--theory auto|simplex|dl] FILE.sl\n\
+[--json] [--trace FILE] [--progress SECS] [--stall-after SECS] [--certify] \
+[--theory auto|simplex] FILE.sl\n\
        dryadsynth --lint FILE.sl\n\
+       dryadsynth --render dot|folded|search TRACE.jsonl\n\
   --timeout 0 expires the budget immediately (useful for plumbing tests);\n\
   --fuel caps governed engine steps independently of wall-clock time;\n\
   --json prints a versioned machine-readable run report instead of the\n\
-  s-expression answer; --trace writes span/event JSONL; --dot writes the\n\
-  subproblem graph (with solver attribution) as Graphviz DOT;\n\
-  --profile writes the span-tree profile as inferno-compatible folded\n\
-  stacks and embeds the top paths in the --json report;\n\
-  --search-log writes interval-sampled CDCL search analytics (one JSON\n\
-  object per interval: conflicts, decisions, propagations, LBD sums,\n\
-  restart episodes) as JSONL, flushed even on panic or timeout;\n\
+  s-expression answer;\n\
+  --trace writes the run's records as JSONL (spans with parent ids,\n\
+  points, subproblem-graph events, CDCL search intervals), flushed even on\n\
+  panic or timeout, and embeds the top span paths in the --json report;\n\
+  --render prints one rendering of a --trace file instead of solving: dot\n\
+  (subproblem graph with solver attribution), folded (inferno-compatible\n\
+  folded stacks), or search (one JSON object per CDCL search interval);\n\
   --progress prints a heartbeat line to stderr every SECS seconds;\n\
   --stall-after dumps a diagnostic (open span stacks, counters, active\n\
   SMT query size) when no progress counter advances for SECS seconds;\n\
@@ -91,7 +95,7 @@ const USAGE: &str = "usage: dryadsynth \
   and exits 7 on failure;\n\
   --theory picks the eager SMT theory engine: auto (default) dispatches\n\
   difference-logic queries to the specialized engine, simplex forces the\n\
-  general path, dl prefers difference logic where it fits;\n\
+  general path;\n\
   --lint prints the grammar dataflow report for a problem without solving\n\
   it (exit 7 on error-level findings).";
 
@@ -103,14 +107,12 @@ struct Options {
     stats: bool,
     json: bool,
     trace: Option<String>,
-    dot: Option<String>,
-    profile: Option<String>,
-    search_log: Option<String>,
     progress: Option<Duration>,
     stall_after: Option<Duration>,
     certify: bool,
     theory: smtkit::TheorySelect,
     lint: Option<String>,
+    render: Option<Rendering>,
     file: Option<String>,
 }
 
@@ -123,14 +125,12 @@ fn parse_args() -> Result<Options, String> {
         stats: false,
         json: false,
         trace: None,
-        dot: None,
-        profile: None,
-        search_log: None,
         progress: None,
         stall_after: None,
         certify: false,
         theory: smtkit::TheorySelect::Auto,
         lint: None,
+        render: None,
         file: None,
     };
     let mut args = std::env::args().skip(1);
@@ -163,15 +163,6 @@ fn parse_args() -> Result<Options, String> {
             "--trace" => {
                 opts.trace = Some(args.next().ok_or("--trace needs a file path")?);
             }
-            "--dot" => {
-                opts.dot = Some(args.next().ok_or("--dot needs a file path")?);
-            }
-            "--profile" => {
-                opts.profile = Some(args.next().ok_or("--profile needs a file path")?);
-            }
-            "--search-log" => {
-                opts.search_log = Some(args.next().ok_or("--search-log needs a file path")?);
-            }
             "--progress" => {
                 let v = args.next().ok_or("--progress needs seconds")?;
                 let secs: f64 = v.parse().map_err(|_| format!("bad progress interval `{v}`"))?;
@@ -190,11 +181,15 @@ fn parse_args() -> Result<Options, String> {
             }
             "--certify" => opts.certify = true,
             "--theory" => {
-                let v = args.next().ok_or("--theory needs auto|simplex|dl")?;
+                let v = args.next().ok_or("--theory needs auto|simplex")?;
                 opts.theory = v.parse()?;
             }
             "--lint" => {
                 opts.lint = Some(args.next().ok_or("--lint needs a file path")?);
+            }
+            "--render" => {
+                let v = args.next().ok_or("--render needs dot|folded|search")?;
+                opts.render = Some(v.parse()?);
             }
             "--help" | "-h" => return Err(USAGE.to_owned()),
             other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
@@ -251,6 +246,28 @@ fn lint_mode(file: &str) -> ExitCode {
     }
 }
 
+/// The `--render` mode: read a `--trace` file and print one rendering of
+/// its records.
+fn render_mode(rendering: Rendering, file: &str) -> ExitCode {
+    let text = match std::fs::read_to_string(file) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("cannot read {file}: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    match parse_trace(&text) {
+        Ok(records) => {
+            print!("{}", rendering.render(&records));
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("{file}: {e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
@@ -269,6 +286,9 @@ fn main() -> ExitCode {
         eprintln!("no input file; see --help");
         return ExitCode::from(2);
     };
+    if let Some(rendering) = opts.render {
+        return render_mode(rendering, file);
+    }
     let src = match std::fs::read_to_string(file) {
         Ok(s) => s,
         Err(e) => {
@@ -304,33 +324,22 @@ fn main() -> ExitCode {
         }
     };
 
-    // Event recording and span-tree profiling are opt-in (they buffer or
-    // lock per span); metrics are always on — a metrics-only tracer costs a
-    // few atomic ops per span. The watchdog needs profiling too: its stall
-    // dump shows every thread's open span stack.
-    let record_events = opts.trace.is_some() || opts.dot.is_some();
-    let profile_spans =
-        opts.profile.is_some() || opts.progress.is_some() || opts.stall_after.is_some();
-    let tracer = Tracer::new(record_events, profile_spans);
+    // Recording and live stacks are opt-in (they buffer or lock per span);
+    // metrics are always on — a metrics-only tracer costs a few atomic ops
+    // per span. The watchdog needs live stacks: its stall dump shows every
+    // thread's open span stack.
+    let watched = opts.progress.is_some() || opts.stall_after.is_some();
+    let tracer = Tracer::new(opts.trace.is_some(), watched);
     let budget = Budget::from_timeout(opts.timeout).with_tracer(tracer.clone());
 
-    // The file sinks are registered on a drop guard *before* solving, so a
-    // panic, resource exhaustion, or timeout still flushes them to disk.
-    let mut sinks = SinkGuard::new(tracer.clone());
-    if let Some(path) = &opts.trace {
-        sinks = sinks.with_trace(path);
-    }
-    if let Some(path) = &opts.dot {
-        sinks = sinks.with_dot(path);
-    }
-    if let Some(path) = &opts.profile {
-        sinks = sinks.with_profile(path);
-    }
-    if let Some(path) = &opts.search_log {
-        sinks = sinks.with_search_log(path);
-    }
+    // The trace sink is registered on a drop guard *before* solving, so a
+    // panic, resource exhaustion, or timeout still flushes it to disk.
+    let mut sink = opts
+        .trace
+        .as_ref()
+        .map(|path| SinkGuard::new(tracer.clone(), path));
 
-    let watchdog = (opts.progress.is_some() || opts.stall_after.is_some()).then(|| {
+    let watchdog = watched.then(|| {
         Watchdog::spawn(
             &budget,
             WatchdogConfig::new(opts.progress, opts.stall_after),
@@ -361,8 +370,8 @@ fn main() -> ExitCode {
             eprintln!("; stall_dumps={dumps}");
         }
     }
-    if let Err(e) = sinks.flush() {
-        eprintln!("cannot write observability sinks: {e}");
+    if let Err(e) = sink.as_mut().map_or(Ok(()), SinkGuard::flush) {
+        eprintln!("cannot write the trace: {e}");
         return ExitCode::from(2);
     }
 

@@ -47,7 +47,7 @@ use std::time::Duration;
 const USAGE: &str = "usage: dryadsynthd [--workers N] [--queue-cap N] \
 [--default-timeout SECS] [--max-timeout SECS] [--drain-deadline SECS] \
 [--threads-per-solve N] [--heartbeat SECS] [--stall-after SECS] \
-[--certify] [--chaos-seed SEED] [--theory auto|simplex|dl] [--socket PATH] \
+[--certify] [--chaos-seed SEED] [--theory auto|simplex] [--socket PATH] \
 [--metrics-socket PATH] [--audit FILE]\n\
   Serves newline-delimited JSON solve requests on stdin (or PATH) and\n\
   answers on stdout (or the connection). EOF, {\"shutdown\":true}, SIGTERM\n\
@@ -123,7 +123,7 @@ fn parse_args() -> Result<Options, String> {
             "--certify" => config.certify = true,
             "--chaos-seed" => chaos_seed = Some(num("--chaos-seed")?),
             "--theory" => {
-                let v = args.next().ok_or("--theory needs auto|simplex|dl")?;
+                let v = args.next().ok_or("--theory needs auto|simplex")?;
                 theory = v.parse()?;
             }
             "--socket" => socket = Some(args.next().ok_or("--socket needs a path")?),

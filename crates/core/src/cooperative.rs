@@ -311,7 +311,7 @@ impl CooperativeSolver {
                                 stats.solved_by_deduction += 1;
                                 tracer.graph_event(|| GraphEvent::Solved {
                                     id: i,
-                                    engine: "deduction",
+                                    engine: "deduction".into(),
                                 });
                                 if i == 0 && ded_queue.is_empty() && enum_queue.is_empty() {
                                     stats.source_solved_deductively = true;
@@ -387,7 +387,7 @@ impl CooperativeSolver {
                             tracer.graph_event(|| GraphEvent::Edge {
                                 parent: i,
                                 child,
-                                strategy: division.strategy,
+                                strategy: division.strategy.into(),
                             });
                             // A child solved before this edge existed fires
                             // immediately.
@@ -451,7 +451,7 @@ impl CooperativeSolver {
                             stats.solved_by_enumeration += 1;
                             tracer.graph_event(|| GraphEvent::Solved {
                                 id: i,
-                                engine: "enumeration",
+                                engine: "enumeration".into(),
                             });
                         } else {
                             // A wrapper produced an unverifiable candidate:
@@ -573,7 +573,7 @@ impl CooperativeSolver {
                 if self.on_solved(parent, body, nodes, ded_queue, enum_queue, stats) {
                     tracer.graph_event(|| GraphEvent::Solved {
                         id: parent,
-                        engine: "type-b",
+                        engine: "type-b".into(),
                     });
                 }
             }

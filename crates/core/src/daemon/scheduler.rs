@@ -700,10 +700,11 @@ fn run_one(inner: &Arc<Inner>, entry: QueueEntry, worker: u64, ring: &Arc<EventR
     // Per-request isolation: own tracer (so per-request metrics and stall
     // dumps don't bleed across requests), own deadline, parent-chained
     // cancellation and charge propagation via the daemon root budget. The
-    // worker's flight ring rides the tracer so every span close and point
-    // leaves a post-mortem trail even in metrics-only mode.
-    let profiling = inner.config.stall_after.is_some();
-    let tracer = Tracer::with_flight_recorder(profiling, profiling, Arc::clone(ring));
+    // worker's flight ring is the tracer's only record store, so every
+    // record leaves a bounded post-mortem trail; live stacks only when a
+    // stall dump may need them.
+    let live_stacks = inner.config.stall_after.is_some();
+    let tracer = Tracer::with_flight_recorder(live_stacks, Arc::clone(ring));
     let budget = inner.root.child_with(Some(deadline), Some(tracer));
     let cancelled = Arc::new(AtomicBool::new(false));
     {

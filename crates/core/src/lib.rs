@@ -66,7 +66,10 @@ pub use fixed_height::{
 pub use invariant::{
     fast_trans, recognize_translation, strengthen_with_summary, summarize, Translation,
 };
-pub use observe::{dot_graph, outcome_label, trace_jsonl, RunReport, SinkGuard, REPORT_VERSION};
+pub use observe::{
+    dot_graph, outcome_label, parse_trace, search_log, span_profile, trace_jsonl, PathStat,
+    Rendering, RunReport, SinkGuard, REPORT_VERSION,
+};
 pub use parallel::{BottomUpBackend, EnumBackend, FixedHeightBackend, ParallelHeightBackend};
 pub use progress::{Watchdog, WatchdogConfig};
 pub use runtime::{Budget, BudgetError, EngineFault};

@@ -1,16 +1,21 @@
-//! Observability sinks for the solver runtime: the versioned machine-readable
-//! run report (`--json`), the JSONL trace sink (`--trace`), and the
-//! subproblem-graph DOT sink (`--dot`).
+//! Observability sinks and renderers for the solver runtime: the versioned
+//! machine-readable run report (`--json`), the JSONL trace sink (`--trace`,
+//! one [`Record`] per line), and the offline renderers of a trace's records
+//! (`--render dot|folded|search`): the subproblem graph as Graphviz DOT, the
+//! span tree as folded stacks, and the CDCL search log.
 //!
 //! The data all comes from the [`Tracer`] riding on the run's
-//! [`Budget`](crate::Budget) — the sinks here only *format*; they never
-//! instrument. See `crates/ast/src/trace.rs` for the recording side and
-//! DESIGN.md ("Observability") for the event schema and versioning policy.
+//! [`Budget`](crate::Budget) — the code here only *formats*; it never
+//! instruments. Every renderer is a function of `&[Record]`, so rendering
+//! the records in memory and rendering a written trace file give the same
+//! text. See `crates/ast/src/trace.rs` for the recording side and DESIGN.md
+//! ("Observability") for the record schema and versioning policy.
 
 use crate::{CoopStats, SynthOutcome};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
-use sygus_ast::trace::{GraphEvent, PathStat, Tracer};
+use std::str::FromStr;
+use sygus_ast::trace::{GraphEvent, Record, Tracer};
 use sygus_ast::{size_bucket, solution_size, time_bucket, Json};
 
 /// The `version` field of the run-report schema. Bump on any breaking change
@@ -18,17 +23,17 @@ use sygus_ast::{size_bucket, solution_size, time_bucket, Json};
 ///
 /// Version history: 1 = initial schema; 2 = added the optional `certified`
 /// field on solved runs; 3 = added the `profile` span-tree table (top paths
-/// by self time, present only on profiling runs); 4 = `metrics.counters`
-/// always carries the `interner.symbols` / `interner.bytes` gauges, and
-/// `metrics` may carry a `latencies` object on runs that recorded latency
-/// histograms; 5 = runs that exercised the SMT core carry a `search`
+/// by self time, present only on recording `--trace` runs); 4 =
+/// `metrics.counters` always carries the `interner.symbols` /
+/// `interner.bytes` gauges, and `metrics` may carry a `latencies` object on
+/// runs that recorded latency histograms; 5 = runs that exercised the SMT core carry a `search`
 /// summary block (CDCL/theory search-analytics aggregates: totals,
 /// mean/p90 LBD, restarts, propagations-per-decision — see DESIGN.md §13).
 pub const REPORT_VERSION: u64 = 5;
 
 /// Paths carried in the report's `profile` table, at most this many, ranked
-/// by self time. The folded-stack sink (`--profile`) is unabridged; the
-/// report table is a summary.
+/// by self time. The folded-stack rendering (`--render folded`) is
+/// unabridged; the report table is a summary.
 pub const PROFILE_TOP_PATHS: usize = 20;
 
 /// The stable one-word label of a [`SynthOutcome`] for reports and the bench
@@ -58,8 +63,8 @@ pub struct RunReport {
     pub stats: CoopStats,
     /// The metrics snapshot taken from the run's tracer.
     pub metrics: sygus_ast::MetricsSnapshot,
-    /// The span-tree profile taken from the run's tracer (empty unless the
-    /// tracer had profiling enabled), sorted by path.
+    /// The span-tree profile of the run's records ([`span_profile`]; empty
+    /// unless the tracer was recording), sorted by path.
     pub profile: Vec<(String, PathStat)>,
     /// Whether the solution passed end-to-end certification (`None` when
     /// certification was not run or the run produced no solution).
@@ -68,7 +73,7 @@ pub struct RunReport {
 
 impl RunReport {
     /// Assembles a report from a finished run, snapshotting `tracer`'s
-    /// metrics at this moment.
+    /// metrics and records at this moment.
     pub fn new(
         solver: impl Into<String>,
         source: impl Into<String>,
@@ -84,7 +89,7 @@ impl RunReport {
             seconds,
             stats,
             metrics: tracer.metrics().snapshot(),
-            profile: tracer.profile(),
+            profile: span_profile(&tracer.records()),
             certified: None,
         }
     }
@@ -256,46 +261,131 @@ fn stats_json(stats: &CoopStats) -> Json {
     ])
 }
 
-/// Renders the tracer's buffered events as JSONL (one event object per
-/// line), the `--trace FILE` sink format. Empty for metrics-only tracers.
-pub fn trace_jsonl(tracer: &Tracer) -> String {
-    let mut out = String::new();
-    for event in tracer.events() {
-        out.push_str(&event.to_json().to_string());
-        out.push('\n');
+/// Aggregated statistics for one span-tree path (see [`span_profile`]).
+/// `total_micros` is inclusive of child spans; `self_micros` has the time
+/// spent in child spans subtracted, so summing `self_micros` over all paths
+/// gives wall time attributed exactly once.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PathStat {
+    /// Spans completed at this path.
+    pub count: u64,
+    /// Exclusive time: inclusive duration minus child-span time.
+    pub self_micros: u64,
+    /// Inclusive duration summed over all spans at this path.
+    pub total_micros: u64,
+}
+
+/// Folds the span records into per-path aggregates, sorted by path. A
+/// span's path is the semicolon-joined stage names from its thread's
+/// outermost span down to it (`enumerate;fixed-height;smt`), followed
+/// through the exact `parent` ids the spans carry.
+pub fn span_profile(records: &[Record]) -> Vec<(String, PathStat)> {
+    let mut spans: HashMap<u64, (&str, Option<u64>)> = HashMap::new();
+    let mut child_micros: HashMap<u64, u64> = HashMap::new();
+    for r in records {
+        if let Record::Span { id, parent, name, duration_micros, .. } = r {
+            spans.insert(*id, (name, *parent));
+            if let Some(parent) = parent {
+                *child_micros.entry(*parent).or_default() += duration_micros;
+            }
+        }
     }
-    out
+    let path = |id: u64| -> String {
+        // `take` bounds the walk, so a malformed (cyclic) file still ends.
+        let mut names: Vec<&str> =
+            std::iter::successors(spans.get(&id), |(_, parent)| parent.and_then(|p| spans.get(&p)))
+                .take(spans.len())
+                .map(|&(name, _)| name)
+                .collect();
+        names.reverse();
+        names.join(";")
+    };
+    let mut profile: BTreeMap<String, PathStat> = BTreeMap::new();
+    for r in records {
+        if let Record::Span { id, duration_micros, .. } = r {
+            let stat = profile.entry(path(*id)).or_default();
+            stat.count += 1;
+            stat.total_micros += duration_micros;
+            stat.self_micros += duration_micros
+                .saturating_sub(child_micros.get(id).copied().unwrap_or(0));
+        }
+    }
+    profile.into_iter().collect()
+}
+
+/// The span profile as inferno-compatible folded stacks: one
+/// `path self_micros` line per path, sample values in microseconds of
+/// exclusive time.
+pub fn folded_stacks(records: &[Record]) -> String {
+    span_profile(records)
+        .iter()
+        .map(|(path, stat)| format!("{path} {}\n", stat.self_micros))
+        .collect()
+}
+
+/// The search log: one `search_interval` JSON line per search record.
+pub fn search_log(records: &[Record]) -> String {
+    records
+        .iter()
+        .filter(|r| matches!(r, Record::Search(_)))
+        .map(|r| format!("{}\n", r.to_json()))
+        .collect()
+}
+
+/// The records as JSONL (one record object per line), the `--trace FILE`
+/// sink format.
+pub fn trace_jsonl(records: &[Record]) -> String {
+    records.iter().map(|r| format!("{}\n", r.to_json())).collect()
+}
+
+/// Parses a `--trace` file back into its records (blank lines skipped).
+///
+/// # Errors
+///
+/// The first line that is not a record, with its 1-based line number.
+pub fn parse_trace(text: &str) -> Result<Vec<Record>, String> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| {
+            Json::parse(line)
+                .and_then(|v| Record::from_json(&v))
+                .map_err(|e| format!("line {}: {e}", i + 1))
+        })
+        .collect()
 }
 
 #[derive(Default)]
 struct DotNode {
     label: String,
-    engine: Option<&'static str>,
+    engine: Option<String>,
     dead: bool,
 }
 
-/// Reconstructs the subproblem graph from the tracer's buffered graph
-/// events and renders it as Graphviz DOT, with per-node solver attribution
-/// (the paper's Type-A/Type-B analysis). Empty graph for metrics-only
-/// tracers.
-pub fn dot_graph(tracer: &Tracer) -> String {
+/// Reconstructs the subproblem graph from the graph records and renders it
+/// as Graphviz DOT, with per-node solver attribution (the paper's
+/// Type-A/Type-B analysis). An empty graph when there are none.
+pub fn dot_graph(records: &[Record]) -> String {
     let mut nodes: BTreeMap<usize, DotNode> = BTreeMap::new();
-    let mut edges: Vec<(usize, usize, &'static str)> = Vec::new();
-    for event in tracer.graph() {
+    let mut edges: Vec<(usize, usize, &str)> = Vec::new();
+    for r in records {
+        let Record::Graph { event, .. } = r else {
+            continue;
+        };
         match event {
             GraphEvent::Node { id, label } => {
-                nodes.entry(id).or_default().label = label;
+                nodes.entry(*id).or_default().label.clone_from(label);
             }
             GraphEvent::Edge {
                 parent,
                 child,
                 strategy,
-            } => edges.push((parent, child, strategy)),
+            } => edges.push((*parent, *child, strategy)),
             GraphEvent::Solved { id, engine } => {
-                nodes.entry(id).or_default().engine = Some(engine);
+                nodes.entry(*id).or_default().engine = Some(engine.to_string());
             }
             GraphEvent::Dead { id } => {
-                nodes.entry(id).or_default().dead = true;
+                nodes.entry(*id).or_default().dead = true;
             }
         }
     }
@@ -308,11 +398,11 @@ pub fn dot_graph(tracer: &Tracer) -> String {
             label.push_str("\\n");
             label.push_str(&dot_escape(&node.label));
         }
-        let style = match (node.engine, node.dead) {
+        let style = match (&node.engine, node.dead) {
             (Some(engine), _) => {
                 label.push_str("\\nsolved by ");
                 label.push_str(engine);
-                match engine {
+                match engine.as_str() {
                     "deduction" => " style=filled fillcolor=palegreen",
                     "enumeration" => " style=filled fillcolor=lightskyblue",
                     _ => " style=filled fillcolor=khaki",
@@ -339,95 +429,75 @@ fn dot_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Drop-flushing holder for the file sinks (`--trace`, `--dot`,
-/// `--profile`). The registered files are written when the guard drops, so
-/// buffered events and profile paths reach disk even when the run dies
-/// mid-flight — a panic unwinding through the solver, a
-/// `ResourceExhausted` bail-out, or a timeout path that skips the normal
-/// exit sequence. Call [`SinkGuard::flush`] on the healthy path to surface
-/// I/O errors; the drop path is best-effort and swallows them.
+/// One offline rendering of a trace (`--render dot|folded|search`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Rendering {
+    /// The subproblem graph ([`dot_graph`]).
+    Dot,
+    /// The span tree as folded stacks ([`folded_stacks`]).
+    Folded,
+    /// The CDCL search log ([`search_log`]).
+    Search,
+}
+
+impl Rendering {
+    /// Renders `records`.
+    pub fn render(self, records: &[Record]) -> String {
+        match self {
+            Rendering::Dot => dot_graph(records),
+            Rendering::Folded => folded_stacks(records),
+            Rendering::Search => search_log(records),
+        }
+    }
+}
+
+impl FromStr for Rendering {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Rendering, String> {
+        match s {
+            "dot" => Ok(Rendering::Dot),
+            "folded" => Ok(Rendering::Folded),
+            "search" => Ok(Rendering::Search),
+            other => Err(format!(
+                "unknown rendering `{other}` (expected dot, folded, or search)"
+            )),
+        }
+    }
+}
+
+/// Drop-flushing holder for the `--trace` sink. The file is written when
+/// the guard drops, so the records reach disk even when the run dies
+/// mid-flight — a panic unwinding through the solver, a `ResourceExhausted`
+/// bail-out, or a timeout path that skips the normal exit sequence. Call
+/// [`SinkGuard::flush`] on the healthy path to surface I/O errors; the
+/// drop path is best-effort and swallows them.
 pub struct SinkGuard {
     tracer: Tracer,
-    trace_path: Option<PathBuf>,
-    dot_path: Option<PathBuf>,
-    profile_path: Option<PathBuf>,
-    search_log_path: Option<PathBuf>,
+    path: PathBuf,
     flushed: bool,
 }
 
 impl SinkGuard {
-    /// A guard with no sinks registered (flushing is a no-op until paths
-    /// are attached).
-    pub fn new(tracer: Tracer) -> SinkGuard {
+    /// A guard that writes `tracer`'s records to `path` as JSONL
+    /// ([`trace_jsonl`]).
+    pub fn new(tracer: Tracer, path: impl Into<PathBuf>) -> SinkGuard {
         SinkGuard {
             tracer,
-            trace_path: None,
-            dot_path: None,
-            profile_path: None,
-            search_log_path: None,
+            path: path.into(),
             flushed: false,
         }
     }
 
-    /// Registers the JSONL trace sink ([`trace_jsonl`]).
-    #[must_use]
-    pub fn with_trace(mut self, path: impl Into<PathBuf>) -> SinkGuard {
-        self.trace_path = Some(path.into());
-        self
-    }
-
-    /// Registers the subproblem-graph DOT sink ([`dot_graph`]).
-    #[must_use]
-    pub fn with_dot(mut self, path: impl Into<PathBuf>) -> SinkGuard {
-        self.dot_path = Some(path.into());
-        self
-    }
-
-    /// Registers the folded-stacks profile sink
-    /// ([`Tracer::folded_stacks`]).
-    #[must_use]
-    pub fn with_profile(mut self, path: impl Into<PathBuf>) -> SinkGuard {
-        self.profile_path = Some(path.into());
-        self
-    }
-
-    /// Registers the search-analytics JSONL sink (`--search-log`) and arms
-    /// sample buffering on the tracer's metrics registry — the SMT core's
-    /// drain layer only buffers interval records once this is called.
-    #[must_use]
-    pub fn with_search_log(mut self, path: impl Into<PathBuf>) -> SinkGuard {
-        self.tracer.metrics().enable_search_log();
-        self.search_log_path = Some(path.into());
-        self
-    }
-
-    /// Writes every registered sink now and disarms the drop hook.
-    /// Subsequent flushes (including the one in `Drop`) are no-ops, so the
-    /// files reflect the tracer state at the *first* flush.
+    /// Writes the trace now and disarms the drop hook. Subsequent flushes
+    /// (including the one in `Drop`) are no-ops, so the file reflects the
+    /// tracer state at the *first* flush.
     pub fn flush(&mut self) -> std::io::Result<()> {
         if self.flushed {
             return Ok(());
         }
         self.flushed = true;
-        if let Some(path) = &self.trace_path {
-            std::fs::write(path, trace_jsonl(&self.tracer))?;
-        }
-        if let Some(path) = &self.dot_path {
-            std::fs::write(path, dot_graph(&self.tracer))?;
-        }
-        if let Some(path) = &self.profile_path {
-            std::fs::write(path, self.tracer.folded_stacks())?;
-        }
-        if let Some(path) = &self.search_log_path {
-            let samples = self.tracer.metrics().search_samples();
-            let mut out = String::new();
-            for line in &samples {
-                out.push_str(line);
-                out.push('\n');
-            }
-            std::fs::write(path, out)?;
-        }
-        Ok(())
+        std::fs::write(&self.path, trace_jsonl(&self.tracer.records()))
     }
 }
 
@@ -441,6 +511,9 @@ impl Drop for SinkGuard {
 mod tests {
     use super::*;
     use crate::EngineFault;
+    use std::time::Duration;
+    use sygus_ast::trace::SearchRecord;
+    use sygus_ast::Stage;
 
     fn sample_stats() -> CoopStats {
         CoopStats {
@@ -565,7 +638,7 @@ mod tests {
         let parsed = Json::parse(&plain.to_json().to_string()).unwrap();
         assert!(parsed.get("profile").is_none());
 
-        let tracer = Tracer::profiling();
+        let tracer = Tracer::recording();
         {
             let _outer = tracer.span(sygus_ast::Stage::Enumerate);
             std::thread::sleep(std::time::Duration::from_millis(2));
@@ -646,68 +719,69 @@ mod tests {
         assert_eq!(search.get("p90_lbd").and_then(Json::as_i64), Some(3));
     }
 
-    #[test]
-    fn sink_guard_flushes_search_log_jsonl() {
+    /// A scratch file path unique to one test.
+    fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("dryadsynth-sink-guard-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("search.jsonl");
+        let path = dir.join(name);
         let _ = std::fs::remove_file(&path);
-        let tracer = Tracer::metrics_only();
-        let mut guard = SinkGuard::new(tracer.clone()).with_search_log(&path);
-        // with_search_log armed the buffer, so drained samples accumulate.
-        assert!(tracer.metrics().search_log_enabled());
-        tracer
-            .metrics()
-            .push_search_sample("{\"type\":\"search_interval\",\"seq\":0}".into());
-        tracer
-            .metrics()
-            .push_search_sample("{\"type\":\"search_interval\",\"seq\":1}".into());
+        path
+    }
+
+    #[test]
+    fn sink_guard_flushes_search_log_jsonl() {
+        let path = scratch("search.trace.jsonl");
+        let tracer = Tracer::recording();
+        let mut guard = SinkGuard::new(tracer.clone(), &path);
+        for seq in 0..2 {
+            tracer.search(|| SearchRecord {
+                seq,
+                conflicts: 10,
+                ..SearchRecord::default()
+            });
+        }
+        drop(tracer.span(Stage::Smt));
         guard.flush().unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
+        let records = parse_trace(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(records, tracer.records());
+        // The search rendering keeps only the interval lines.
+        let log = search_log(&records);
+        let lines: Vec<&str> = log.lines().collect();
         assert_eq!(lines.len(), 2);
-        for line in lines {
+        for (seq, line) in lines.into_iter().enumerate() {
             let v = Json::parse(line).unwrap();
             assert_eq!(v.get("type").and_then(Json::as_str), Some("search_interval"));
+            assert_eq!(v.get("seq").and_then(Json::as_i64), Some(seq as i64));
         }
     }
 
     #[test]
     fn sink_guard_flushes_on_panic() {
-        let dir = std::env::temp_dir().join("dryadsynth-sink-guard-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let trace_path = dir.join("trace.jsonl");
-        let profile_path = dir.join("profile.folded");
-        let _ = std::fs::remove_file(&trace_path);
-        let _ = std::fs::remove_file(&profile_path);
-        let tracer = Tracer::new(true, true);
-        drop(tracer.span(sygus_ast::Stage::Smt));
+        let trace_path = scratch("trace.jsonl");
+        let tracer = Tracer::recording();
+        drop(tracer.span(Stage::Smt));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = SinkGuard::new(tracer.clone())
-                .with_trace(&trace_path)
-                .with_profile(&profile_path);
+            let _guard = SinkGuard::new(tracer.clone(), &trace_path);
             panic!("engine died mid-run");
         }));
         assert!(result.is_err());
-        // Both sinks reached disk despite the panic.
+        // The trace reached disk despite the panic, and renders offline.
         let trace = std::fs::read_to_string(&trace_path).unwrap();
         assert!(trace.contains("\"name\":\"smt\""), "{trace}");
-        let folded = std::fs::read_to_string(&profile_path).unwrap();
+        let folded = folded_stacks(&parse_trace(&trace).unwrap());
         assert!(folded.starts_with("smt "), "{folded}");
     }
 
     #[test]
     fn sink_guard_flush_disarms_the_drop_hook() {
-        let dir = std::env::temp_dir().join("dryadsynth-sink-guard-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("flush-once.folded");
-        let tracer = Tracer::profiling();
-        drop(tracer.span(sygus_ast::Stage::Verify));
-        let mut guard = SinkGuard::new(tracer.clone()).with_profile(&path);
+        let path = scratch("flush-once.trace.jsonl");
+        let tracer = Tracer::recording();
+        drop(tracer.span(Stage::Verify));
+        let mut guard = SinkGuard::new(tracer.clone(), &path);
         guard.flush().unwrap();
         let first = std::fs::read_to_string(&path).unwrap();
         // More spans after the flush must not change the file on drop.
-        drop(tracer.span(sygus_ast::Stage::Verify));
+        drop(tracer.span(Stage::Verify));
         drop(guard);
         assert_eq!(std::fs::read_to_string(&path).unwrap(), first);
     }
@@ -715,15 +789,18 @@ mod tests {
     #[test]
     fn jsonl_sink_emits_one_parseable_line_per_event() {
         let tracer = Tracer::recording();
-        drop(tracer.span(sygus_ast::Stage::Deduct).with_node(0));
-        drop(tracer.span(sygus_ast::Stage::Smt));
-        let jsonl = trace_jsonl(&tracer);
+        drop(tracer.span(Stage::Deduct).with_node(0));
+        drop(tracer.span(Stage::Smt));
+        let jsonl = trace_jsonl(&tracer.records());
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
         for line in lines {
             Json::parse(line).unwrap();
         }
-        assert!(trace_jsonl(&Tracer::metrics_only()).is_empty());
+        assert_eq!(parse_trace(&jsonl).unwrap(), tracer.records());
+        assert!(trace_jsonl(&Tracer::metrics_only().records()).is_empty());
+        let err = parse_trace("{\"type\":\"span\"}\n").unwrap_err();
+        assert!(err.starts_with("line 1:"), "{err}");
     }
 
     #[test]
@@ -740,19 +817,101 @@ mod tests {
         tracer.graph_event(|| GraphEvent::Edge {
             parent: 0,
             child: 1,
-            strategy: "subterm",
+            strategy: "subterm".into(),
         });
         tracer.graph_event(|| GraphEvent::Solved {
             id: 1,
-            engine: "deduction",
+            engine: "deduction".into(),
         });
         tracer.graph_event(|| GraphEvent::Dead { id: 0 });
-        let dot = dot_graph(&tracer);
+        let records = tracer.records();
+        let dot = dot_graph(&records);
         assert!(dot.starts_with("digraph subproblems {"));
         assert!(dot.contains("n0 -> n1 [label=\"subterm\"]"));
         assert!(dot.contains("solved by deduction"));
         assert!(dot.contains("fillcolor=palegreen"));
         assert!(dot.contains("\\\"q\\\""), "quotes must be escaped: {dot}");
         assert!(dot.trim_end().ends_with('}'));
+        // The renderer reads the graph from a written trace identically.
+        assert_eq!(dot_graph(&parse_trace(&trace_jsonl(&records)).unwrap()), dot);
+        assert_eq!("dot".parse::<Rendering>().unwrap().render(&records), dot);
+        assert!("profile".parse::<Rendering>().is_err());
+    }
+
+    #[test]
+    fn profiler_builds_paths_and_subtracts_child_time() {
+        let t = Tracer::recording();
+        {
+            let _outer = t.span(Stage::Enumerate);
+            std::thread::sleep(Duration::from_millis(4));
+            {
+                let _inner = t.span(Stage::Smt);
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            {
+                let _inner = t.span(Stage::Smt);
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+        let profile: BTreeMap<String, PathStat> =
+            span_profile(&t.records()).into_iter().collect();
+        assert_eq!(profile.len(), 2, "{profile:?}");
+        let outer = profile["enumerate"];
+        let inner = profile["enumerate;smt"];
+        assert_eq!(outer.count, 1);
+        assert_eq!(inner.count, 2);
+        // Outer self-time excludes the nested SMT spans.
+        assert_eq!(
+            outer.self_micros,
+            outer.total_micros - inner.total_micros,
+            "{profile:?}"
+        );
+        assert!(inner.total_micros >= 4_000, "{profile:?}");
+        assert!(outer.total_micros >= 8_000, "{profile:?}");
+        // Per-stage metrics totals equal the sum of path totals with that
+        // stage as leaf.
+        assert_eq!(
+            t.metrics().stage(Stage::Smt).total_micros(),
+            inner.total_micros
+        );
+        assert_eq!(
+            t.metrics().stage(Stage::Enumerate).total_micros(),
+            outer.total_micros
+        );
+    }
+
+    #[test]
+    fn folded_stacks_render_one_line_per_path() {
+        let t = Tracer::recording();
+        {
+            let _a = t.span(Stage::FixedHeight);
+            let _b = t.span(Stage::Smt);
+        }
+        let folded = folded_stacks(&t.records());
+        let lines: Vec<&str> = folded.lines().collect();
+        assert_eq!(lines.len(), 2, "{folded}");
+        assert!(lines[0].starts_with("fixed-height "), "{folded}");
+        assert!(lines[1].starts_with("fixed-height;smt "), "{folded}");
+        for line in lines {
+            let value = line.rsplit(' ').next().unwrap();
+            value.parse::<u64>().expect("folded value is an integer");
+        }
+        assert!(folded_stacks(&Tracer::metrics_only().records()).is_empty());
+    }
+
+    #[test]
+    fn interleaved_tracers_keep_separate_trees() {
+        let a = Tracer::recording();
+        let b = Tracer::recording();
+        {
+            let _a1 = a.span(Stage::Enumerate);
+            let _b1 = b.span(Stage::Worker);
+            let _a2 = a.span(Stage::Smt);
+        }
+        let paths = |t: &Tracer| -> Vec<String> {
+            span_profile(&t.records()).into_iter().map(|(p, _)| p).collect()
+        };
+        assert_eq!(paths(&a), vec!["enumerate", "enumerate;smt"]);
+        assert_eq!(paths(&b), vec!["worker"]);
     }
 }

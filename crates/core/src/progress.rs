@@ -181,7 +181,7 @@ fn write_stall_dump(
     writeln!(sink, "[stall]   {} {}", tracer.progress().snapshot(), budget_line(budget))?;
     let stacks = tracer.live_stacks();
     if stacks.is_empty() {
-        writeln!(sink, "[stall]   no open spans (profiling off or between stages)")?;
+        writeln!(sink, "[stall]   no open spans (live stacks off or between stages)")?;
     }
     for (thread, stack) in stacks {
         writeln!(sink, "[stall]   thread {}: {}", thread, stack.join(";"))?;
@@ -227,13 +227,13 @@ mod tests {
         }
     }
 
-    fn profiling_budget() -> Budget {
-        Budget::unlimited().with_tracer(Tracer::profiling())
+    fn watched_budget() -> Budget {
+        Budget::unlimited().with_tracer(Tracer::watched())
     }
 
     #[test]
     fn a_stalled_run_produces_exactly_one_dump() {
-        let budget = profiling_budget();
+        let budget = watched_budget();
         let tracer = budget.tracer().clone();
         // Leave a span open so the dump has a live stack to show, then
         // freeze: no further progress updates.
@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn progress_rearms_the_stall_detector() {
-        let budget = profiling_budget();
+        let budget = watched_budget();
         let tracer = budget.tracer().clone();
         let sink = SharedSink::default();
         let config = WatchdogConfig {
@@ -277,7 +277,7 @@ mod tests {
 
     #[test]
     fn an_active_run_emits_heartbeats_but_no_dump() {
-        let budget = profiling_budget();
+        let budget = watched_budget();
         let tracer = budget.tracer().clone();
         let sink = SharedSink::default();
         let config = WatchdogConfig {
@@ -301,7 +301,7 @@ mod tests {
     #[test]
     fn a_ring_attached_tracer_dumps_its_flight_timeline_on_stall() {
         let ring = Arc::new(sygus_ast::EventRing::new(8));
-        let tracer = Tracer::with_flight_recorder(true, true, Arc::clone(&ring));
+        let tracer = Tracer::with_flight_recorder(true, Arc::clone(&ring));
         let budget = Budget::unlimited().with_tracer(tracer.clone());
         ring.note("request", "id=r1 start");
         tracer.progress().note_smt_check(5);

@@ -1,11 +1,11 @@
 //! Property tests for the search-analytics pipeline: over random CNF
-//! instances, the interval records written to the `--search-log` JSONL
-//! buffer must sum *exactly* to the totals the RunReport `search` block
-//! reports — the two views are derived from the same drained records, and
-//! this test pins that invariant across sat, unsat, restart-heavy, and
-//! trivially-propagated instances alike.
+//! instances, the search records a recording tracer keeps (the lines
+//! `--render search` prints) must sum *exactly* to the totals the RunReport
+//! `search` block reports — the two views are derived from the same drained
+//! intervals, and this test pins that invariant across sat, unsat,
+//! restart-heavy, and trivially-propagated instances alike.
 
-use dryadsynth::{CoopStats, RunReport, SynthOutcome, REPORT_VERSION};
+use dryadsynth::{search_log, CoopStats, RunReport, SynthOutcome, REPORT_VERSION};
 use proptest::prelude::*;
 use smtkit::{drain_search, Lit, SatSolver};
 use sygus_ast::{Json, Tracer};
@@ -27,8 +27,7 @@ proptest! {
         nvars in 2u32..10,
         clauses in proptest::collection::vec(clause_strategy(10), 1..40),
     ) {
-        let tracer = Tracer::metrics_only();
-        tracer.metrics().enable_search_log();
+        let tracer = Tracer::recording();
         let mut s = SatSolver::new();
         for _ in 0..nvars {
             s.new_var();
@@ -38,7 +37,7 @@ proptest! {
             s.add_clause(c);
         }
         let _ = s.solve(None);
-        drain_search(&mut s, tracer.metrics(), true);
+        drain_search(&mut s, &tracer, true);
 
         let report = RunReport::new(
             "prop",
@@ -51,7 +50,8 @@ proptest! {
         let doc = report.to_json();
         prop_assert_eq!(field(&doc, "version"), REPORT_VERSION);
 
-        let samples = tracer.metrics().search_samples();
+        let log = search_log(&tracer.records());
+        let samples: Vec<&str> = log.lines().collect();
         let mut conflicts = 0u64;
         let mut decisions = 0u64;
         let mut propagations = 0u64;
@@ -62,6 +62,7 @@ proptest! {
         let mut lbd_count = 0u64;
         for line in &samples {
             let v = Json::parse(line).expect("interval record parses");
+            prop_assert_eq!(v.get("type").and_then(Json::as_str), Some("search_interval"));
             conflicts += field(&v, "conflicts");
             decisions += field(&v, "decisions");
             propagations += field(&v, "propagations");

@@ -12,6 +12,7 @@
 
 use crate::drat::ProofStep;
 use std::fmt;
+pub use sygus_ast::trace::RestartEpisode;
 
 /// A propositional variable (0-based index).
 pub type Var = u32;
@@ -170,20 +171,6 @@ pub struct SearchInterval {
     pub lbds: Vec<u16>,
     /// Restart episodes that *ended* during this interval.
     pub episodes: Vec<RestartEpisode>,
-}
-
-/// One restart episode: the stretch of search between two restarts, closed
-/// by the restart it describes. The LBD aggregates carry the trend that
-/// preceded the restart (high mean = the episode was learning wide,
-/// poor-quality clauses when the Luby budget expired).
-#[derive(Clone, Debug)]
-pub struct RestartEpisode {
-    /// Conflicts since the previous restart (or query start).
-    pub conflicts: u64,
-    /// Sum of learned-clause LBDs over the episode.
-    pub lbd_sum: u64,
-    /// Learned clauses over the episode.
-    pub lbd_count: u64,
 }
 
 /// Accumulator behind [`SatSolver::take_search_intervals`]: the open

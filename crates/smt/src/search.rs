@@ -1,19 +1,19 @@
 //! Drain layer of the search-analytics pipeline: turns the SAT core's
 //! interval records ([`SatSolver::take_search_intervals`]) into named
-//! `search.*` counters, the `search.lbd` value histogram, and — when a
-//! `--search-log` sink armed the registry — buffered JSONL interval
-//! records.
+//! `search.*` counters, the `search.lbd` value histogram, and — when the
+//! tracer keeps records — one [`SearchRecord`] per interval in the trace
+//! stream (`--render search` prints them as the search log).
 //!
 //! The discipline is *counters are derived from intervals*: every
 //! `search.*` total is incremented only here, from the same drained
-//! records that become JSONL lines. Interval records therefore sum exactly
+//! intervals that become search records. The records therefore sum exactly
 //! to the counter totals (and to the RunReport `search` block built from
 //! them) by construction, across timeouts, budget aborts, and retry
 //! ladders alike. The SMT driver drains after every conflict chunk, so a
 //! cancelled query loses nothing but the open tail — and a final
 //! `close = true` drain at each query's return point collects that too.
 //!
-//! Schema of one JSONL record (all integers; deltas over the interval
+//! One search record serialises to (all integers; deltas over the interval
 //! unless noted):
 //!
 //! ```json
@@ -31,21 +31,20 @@
 //! LBD trend (`lbd_sum / lbd_count`) that preceded its restart.
 
 use crate::sat::SatSolver;
-use sygus_ast::trace::MetricsRegistry;
-use sygus_ast::Json;
+use sygus_ast::trace::{SearchRecord, Tracer};
 
-/// Drains the solver's accumulated search intervals into `metrics`: bumps
+/// Drains the solver's accumulated search intervals into `tracer`: bumps
 /// the `search.*` counters, records per-clause LBDs into the `search.lbd`
-/// histogram, sets the `search.db_clauses` gauge, and (when the registry
-/// has search-log buffering enabled) appends one JSONL record per
-/// interval. With `close`, the partial interval since the last cut is
-/// included — callers pass `true` at a query's return points and `false`
-/// between conflict chunks.
-pub fn drain_search(sat: &mut SatSolver, metrics: &MetricsRegistry, close: bool) {
+/// histogram, sets the `search.db_clauses` gauge, and (when the tracer
+/// keeps records) emits one [`SearchRecord`] per interval. With `close`,
+/// the partial interval since the last cut is included — callers pass
+/// `true` at a query's return points and `false` between conflict chunks.
+pub fn drain_search(sat: &mut SatSolver, tracer: &Tracer, close: bool) {
     let intervals = sat.take_search_intervals(close);
     if intervals.is_empty() {
         return;
     }
+    let metrics = tracer.metrics();
     let mut conflicts = 0u64;
     let mut decisions = 0u64;
     let mut propagations = 0u64;
@@ -72,35 +71,22 @@ pub fn drain_search(sat: &mut SatSolver, metrics: &MetricsRegistry, close: bool)
             }
         }
     }
-    if metrics.search_log_enabled() {
+    if tracer.is_recording() {
         let seq_base = metrics.counter("search.intervals_total");
         for (i, iv) in intervals.iter().enumerate() {
-            let episodes: Vec<Json> = iv
-                .episodes
-                .iter()
-                .map(|ep| {
-                    Json::obj([
-                        ("conflicts", Json::from(ep.conflicts)),
-                        ("lbd_sum", Json::from(ep.lbd_sum)),
-                        ("lbd_count", Json::from(ep.lbd_count)),
-                    ])
-                })
-                .collect();
-            let record = Json::obj([
-                ("type", Json::str("search_interval")),
-                ("seq", Json::from(seq_base + i as u64)),
-                ("conflicts", Json::from(iv.conflicts)),
-                ("decisions", Json::from(iv.decisions)),
-                ("propagations", Json::from(iv.propagations)),
-                ("restarts", Json::from(iv.restarts)),
-                ("phase_flips", Json::from(iv.phase_flips)),
-                ("learned_literals", Json::from(iv.learned_literals)),
-                ("lbd_sum", Json::from(iv.lbd_sum)),
-                ("lbd_count", Json::from(iv.lbd_count)),
-                ("db_clauses", Json::from(iv.db_clauses)),
-                ("episodes", Json::Arr(episodes)),
-            ]);
-            metrics.push_search_sample(record.to_string());
+            tracer.search(|| SearchRecord {
+                seq: seq_base + i as u64,
+                conflicts: iv.conflicts,
+                decisions: iv.decisions,
+                propagations: iv.propagations,
+                restarts: iv.restarts,
+                phase_flips: iv.phase_flips,
+                learned_literals: iv.learned_literals,
+                lbd_sum: iv.lbd_sum,
+                lbd_count: iv.lbd_count,
+                db_clauses: iv.db_clauses,
+                episodes: iv.episodes.clone(),
+            });
         }
     }
     metrics.add("search.intervals_total", intervals.len() as u64);
@@ -122,7 +108,8 @@ pub fn drain_search(sat: &mut SatSolver, metrics: &MetricsRegistry, close: bool)
 mod tests {
     use super::*;
     use crate::sat::{Lit, SatResult};
-    use sygus_ast::Tracer;
+    use sygus_ast::trace::Record;
+    use sygus_ast::Json;
 
     /// PHP(n+1, n): forces real CDCL search.
     fn pigeonhole(pigeons: usize, holes: usize, s: &mut SatSolver) {
@@ -143,15 +130,19 @@ mod tests {
 
     #[test]
     fn counters_sum_to_logged_intervals() {
-        let tracer = Tracer::metrics_only();
+        let tracer = Tracer::recording();
         let metrics = tracer.metrics();
-        metrics.enable_search_log();
         let mut s = SatSolver::new();
         pigeonhole(7, 6, &mut s);
         assert_eq!(s.solve(None), SatResult::Unsat);
-        drain_search(&mut s, metrics, true);
+        drain_search(&mut s, &tracer, true);
 
-        let samples = metrics.search_samples();
+        let samples: Vec<String> = tracer
+            .records()
+            .iter()
+            .filter(|r| matches!(r, Record::Search(_)))
+            .map(|r| r.to_json().to_string())
+            .collect();
         assert!(!samples.is_empty());
         assert_eq!(samples.len() as u64, metrics.counter("search.intervals_total"));
         // Every JSONL record parses, and the per-field sums equal the
@@ -196,12 +187,12 @@ mod tests {
         let mut s = SatSolver::new();
         pigeonhole(5, 4, &mut s);
         assert_eq!(s.solve(None), SatResult::Unsat);
-        drain_search(&mut s, metrics, true);
-        assert!(metrics.search_samples().is_empty());
+        drain_search(&mut s, &tracer, true);
+        assert!(tracer.records().is_empty());
         assert!(metrics.counter("search.conflicts_total") > 0);
         // A second drain with nothing accumulated is a no-op.
         let before = metrics.counter("search.intervals_total");
-        drain_search(&mut s, metrics, true);
+        drain_search(&mut s, &tracer, true);
         assert_eq!(metrics.counter("search.intervals_total"), before);
     }
 }

@@ -28,7 +28,7 @@
 //!   ([`TheorySolver::add_var`] / [`TheorySolver::add_atom`]);
 //! * the static-lemma dedup set, so eager theory lemmas are emitted once.
 //!
-//! Certification (`cfg.certify`): `sat` models are re-evaluated with exact
+//! Certification (always on): `sat` models are re-evaluated with exact
 //! integer arithmetic against the conjunction of the *active* assertions,
 //! and `unsat` answers replay the DRAT trace — extended with one input unit
 //! per open-scope selector, which is precisely the statement "unsat under
@@ -121,7 +121,7 @@ impl SmtSession {
     pub fn new(cfg: SmtConfig) -> SmtSession {
         cfg.budget.tracer().metrics().bump("smt.sessions");
         SmtSession {
-            enc: Encoder::new(cfg.certify),
+            enc: Encoder::new(),
             pur: Purifier::new(),
             base_asserts: Vec::new(),
             scopes: Vec::new(),
@@ -452,7 +452,7 @@ impl SmtSession {
                 deadline_hit.set(true);
                 return None;
             }
-            let t_theory = use_dl.then(std::time::Instant::now);
+            let dl_span = use_dl.then(|| cfg.budget.tracer().span(Stage::Dl));
             for (i, &v) in atom_vars.iter().enumerate() {
                 match assign.get(v as usize).copied().flatten() {
                     Some(b) => inc.assert_atom(i, b),
@@ -462,13 +462,7 @@ impl SmtSession {
             let verdict = inc.check(THEORY_PIVOT_CAP, &mut || poll_budget(&cfg.budget).is_ok());
             theory_checks.set(theory_checks.get() + 1);
             theory_work_seen.set(inc.search_work());
-            if let Some(t) = t_theory {
-                cfg.budget
-                    .tracer()
-                    .metrics()
-                    .stage(Stage::Dl)
-                    .record_micros(t.elapsed().as_micros() as u64);
-            }
+            drop(dl_span);
             match verdict {
                 None => {
                     // The eager check gave up (deadline, or a pathological
@@ -542,20 +536,16 @@ impl SmtSession {
                 // Chunk boundary: drain search intervals and theory cells
                 // (terminal answers close the open tail).
                 let done = step.is_some();
-                crate::search::drain_search(&mut enc.sat, cfg.budget.tracer().metrics(), done);
+                crate::search::drain_search(&mut enc.sat, cfg.budget.tracer(), done);
                 flush_theory(cfg.budget.tracer().metrics());
                 match step {
                     Some(SatResult::Unsat) => {
-                        if cfg.certify {
-                            // The refutation is conditional on the open
-                            // scopes: certify the trace extended with one
-                            // input unit per assumed selector.
-                            let mut steps = enc.sat.proof_steps().to_vec();
-                            steps.extend(
-                                assumptions.iter().map(|&a| ProofStep::Input(vec![a])),
-                            );
-                            certify_unsat_steps(cfg, &steps)?;
-                        }
+                        // The refutation is conditional on the open scopes:
+                        // certify the trace extended with one input unit per
+                        // assumed selector.
+                        let mut steps = enc.sat.proof_steps().to_vec();
+                        steps.extend(assumptions.iter().map(|&a| ProofStep::Input(vec![a])));
+                        certify_unsat_steps(cfg, &steps)?;
                         return Ok(SmtResult::Unsat);
                     }
                     Some(SatResult::Sat(m)) => break m,
@@ -595,7 +585,7 @@ impl SmtSession {
                     // checks locate it), then greedy deletion on the
                     // survivor when it is small enough.
                     let mut core: Vec<(usize, bool)> = asserted.clone();
-                    if cfg.minimize_cores && core.len() > 1 {
+                    if core.len() > 1 {
                         let unsat_prefix = |k: usize| -> Result<bool, SmtError> {
                             poll_budget(&cfg.budget)?;
                             let lits: Vec<(&Atom, bool)> = asserted[..k]

@@ -15,6 +15,9 @@ use std::fmt;
 use sygus_ast::runtime::{Budget, BudgetError};
 use sygus_ast::{Env, LinearExpr, Op, Sort, Symbol, Term, TermNode, Value};
 
+/// Maximum depth of lazy disequality splitting per theory check.
+const MAX_DISEQ_SPLIT: usize = 32;
+
 /// Configuration for [`SmtSolver`].
 ///
 /// Construct through [`SmtConfig::builder`] (or struct-update from
@@ -41,16 +44,6 @@ pub struct SmtConfig {
     /// `lia_budget` and `max_theory_rounds` by 4). Escalation stops early
     /// when the budget itself is exhausted.
     pub retry_escalations: u32,
-    /// Whether to greedily minimize theory conflicts before blocking.
-    pub minimize_cores: bool,
-    /// Maximum depth of lazy disequality splitting per theory check.
-    pub max_diseq_split: usize,
-    /// Whether to certify answers before reporting them: `unsat` is
-    /// replayed through the independent DRAT/RUP checker ([`crate::drat`])
-    /// and `sat` models are re-evaluated on the asserted formula with exact
-    /// integer arithmetic. A failed certificate surfaces as
-    /// [`SmtError::Certification`] — never as a wrong answer.
-    pub certify: bool,
     /// Which theory engine serves the eager DPLL(T) partial checks:
     /// [`TheorySelect::Auto`] dispatches queries whose atoms all fit the
     /// difference-logic fragment to the specialized constraint-graph engine
@@ -67,9 +60,6 @@ impl Default for SmtConfig {
             lia_budget: 12_000,
             max_theory_rounds: 100_000,
             retry_escalations: 2,
-            minimize_cores: true,
-            max_diseq_split: 24,
-            certify: true,
             theory: crate::process_default_theory(),
         }
     }
@@ -78,7 +68,7 @@ impl Default for SmtConfig {
 impl SmtConfig {
     /// Starts a builder over the default configuration, so new knobs can be
     /// added without widening positional constructors:
-    /// `SmtConfig::builder().certify(true).retry_ladder(12_000, 100_000, 2).build()`.
+    /// `SmtConfig::builder().retry_ladder(12_000, 100_000, 2).build()`.
     pub fn builder() -> SmtConfigBuilder {
         SmtConfigBuilder {
             cfg: SmtConfig::default(),
@@ -106,24 +96,6 @@ impl SmtConfigBuilder {
         self.cfg.lia_budget = lia_budget;
         self.cfg.max_theory_rounds = max_theory_rounds;
         self.cfg.retry_escalations = escalations;
-        self
-    }
-
-    /// Sets whether theory cores are greedily minimized before blocking.
-    pub fn minimize_cores(mut self, on: bool) -> Self {
-        self.cfg.minimize_cores = on;
-        self
-    }
-
-    /// Sets the maximum lazy disequality-splitting depth per theory check.
-    pub fn max_diseq_split(mut self, depth: usize) -> Self {
-        self.cfg.max_diseq_split = depth;
-        self
-    }
-
-    /// Sets whether answers are certified before being reported.
-    pub fn certify(mut self, on: bool) -> Self {
-        self.cfg.certify = on;
         self
     }
 
@@ -535,13 +507,11 @@ pub(crate) struct Encoder {
 }
 
 impl Encoder {
-    pub(crate) fn new(log_proof: bool) -> Encoder {
+    pub(crate) fn new() -> Encoder {
         let mut sat = SatSolver::new();
-        if log_proof {
-            // Must precede the very first clause (the true-literal unit) or
-            // the DRAT replay sees an incomplete database.
-            sat.enable_proof();
-        }
+        // Must precede the very first clause (the true-literal unit) or the
+        // DRAT replay sees an incomplete database.
+        sat.enable_proof();
         let t = sat.new_var();
         sat.add_clause(vec![Lit::pos(t)]);
         Encoder {
@@ -823,7 +793,7 @@ impl TheoryChecker<'_> {
         diseqs: &[&Atom],
         depth: usize,
     ) -> Result<TheoryOutcome, SmtError> {
-        if depth > self.cfg.max_diseq_split.max(32) {
+        if depth > MAX_DISEQ_SPLIT {
             return Err(SmtError::ResourceLimit("disequality splits"));
         }
         let mut poll = || poll_budget(&self.cfg.budget).is_ok();
@@ -994,15 +964,14 @@ pub(crate) fn poll_budget(budget: &Budget) -> Result<(), SmtError> {
     }
 }
 
-/// Replays a DRAT trace through the independent RUP checker (when
-/// `cfg.certify` is on) before an `unsat` answer is allowed out.
+/// Replays a DRAT trace through the independent RUP checker before an
+/// `unsat` answer is allowed out. Certification is always on: a failed
+/// certificate surfaces as [`SmtError::Certification`], never as a wrong
+/// answer.
 pub(crate) fn certify_unsat_steps(
     cfg: &SmtConfig,
     steps: &[crate::drat::ProofStep],
 ) -> Result<(), SmtError> {
-    if !cfg.certify {
-        return Ok(());
-    }
     let tracer = cfg.budget.tracer().clone();
     match crate::drat::check_refutation(steps) {
         Ok(_) => {
@@ -1017,16 +986,12 @@ pub(crate) fn certify_unsat_steps(
 }
 
 /// Re-evaluates the asserted formula under the model with exact integer
-/// arithmetic (when `cfg.certify` is on) before a `sat` answer is allowed
-/// out.
+/// arithmetic before a `sat` answer is allowed out.
 pub(crate) fn certify_sat_model(
     cfg: &SmtConfig,
     formula: &Term,
     model: &Model,
 ) -> Result<(), SmtError> {
-    if !cfg.certify {
-        return Ok(());
-    }
     let tracer = cfg.budget.tracer().clone();
     match eval_exact(formula, model) {
         Ok(BigVal::Bool(true)) => {

@@ -34,18 +34,14 @@ pub enum TheorySelect {
     Auto,
     /// Always use the general simplex path, even on pure-DL queries.
     Simplex,
-    /// Prefer the difference-logic engine; queries outside the fragment
-    /// still fall back to simplex (the DL engine cannot represent them).
-    DifferenceLogic,
 }
 
 impl TheorySelect {
-    /// The stable flag spelling (`auto`, `simplex`, `dl`).
+    /// The stable flag spelling (`auto`, `simplex`).
     pub fn as_str(self) -> &'static str {
         match self {
             TheorySelect::Auto => "auto",
             TheorySelect::Simplex => "simplex",
-            TheorySelect::DifferenceLogic => "dl",
         }
     }
 }
@@ -63,10 +59,7 @@ impl FromStr for TheorySelect {
         match s.to_ascii_lowercase().as_str() {
             "auto" => Ok(TheorySelect::Auto),
             "simplex" => Ok(TheorySelect::Simplex),
-            "dl" | "difference-logic" | "difference_logic" => Ok(TheorySelect::DifferenceLogic),
-            other => Err(format!(
-                "unknown theory `{other}` (expected auto, simplex, or dl)"
-            )),
+            other => Err(format!("unknown theory `{other}` (expected auto or simplex)")),
         }
     }
 }
@@ -78,19 +71,11 @@ impl FromStr for TheorySelect {
 // synthlint: allow(relaxed-handoff) — set once at binary startup before solver threads exist; later readers only need eventual visibility of a plain u8
 static PROCESS_DEFAULT: AtomicU8 = AtomicU8::new(0);
 
-fn encode(sel: TheorySelect) -> u8 {
-    match sel {
-        TheorySelect::Auto => 0,
-        TheorySelect::Simplex => 1,
-        TheorySelect::DifferenceLogic => 2,
-    }
-}
-
 /// Sets the process-wide default theory selection (see
 /// [`process_default_theory`]). Intended for binary startup, before any
 /// solver is constructed.
 pub fn set_process_default_theory(sel: TheorySelect) {
-    PROCESS_DEFAULT.store(encode(sel), Ordering::Relaxed);
+    PROCESS_DEFAULT.store(sel as u8, Ordering::Relaxed);
 }
 
 /// The current process-wide default theory selection ([`TheorySelect::Auto`]
@@ -98,7 +83,6 @@ pub fn set_process_default_theory(sel: TheorySelect) {
 pub fn process_default_theory() -> TheorySelect {
     match PROCESS_DEFAULT.load(Ordering::Relaxed) {
         1 => TheorySelect::Simplex,
-        2 => TheorySelect::DifferenceLogic,
         _ => TheorySelect::Auto,
     }
 }
@@ -222,17 +206,12 @@ mod tests {
 
     #[test]
     fn select_round_trips_through_strings() {
-        for sel in [
-            TheorySelect::Auto,
-            TheorySelect::Simplex,
-            TheorySelect::DifferenceLogic,
-        ] {
+        for sel in [TheorySelect::Auto, TheorySelect::Simplex] {
             assert_eq!(sel.as_str().parse::<TheorySelect>().unwrap(), sel);
         }
-        assert_eq!(
-            "difference-logic".parse::<TheorySelect>().unwrap(),
-            TheorySelect::DifferenceLogic
-        );
+        assert_eq!("SIMPLEX".parse::<TheorySelect>().unwrap(), TheorySelect::Simplex);
+        // Only the two selections parse; `dl` is not a spelling.
+        assert!("dl".parse::<TheorySelect>().is_err());
         assert!("cvc5".parse::<TheorySelect>().is_err());
     }
 

@@ -669,13 +669,11 @@ proptest! {
     fn solver_theory_dl_matches_simplex(f in dl_formula_strategy()) {
         use smtkit::{SmtConfig, TheorySelect};
 
-        let dl = SmtSolver::with_config(
-            SmtConfig::builder().theory(TheorySelect::DifferenceLogic).build(),
-        );
+        let dl = SmtSolver::with_config(SmtConfig::builder().theory(TheorySelect::Auto).build());
         let simplex = SmtSolver::with_config(
             SmtConfig::builder().theory(TheorySelect::Simplex).build(),
         );
-        let a = dl.check(&f).expect("dl-pinned solver");
+        let a = dl.check(&f).expect("auto-dispatched solver");
         let b = simplex.check(&f).expect("simplex-pinned solver");
         prop_assert_eq!(
             matches!(a, SmtResult::Sat(_)),
