@@ -39,7 +39,7 @@ pub struct ProgressState {
     nodes: AtomicU64,
     /// SMT checks started.
     smt_checks: AtomicU64,
-    /// Theory-level SMT conflicts observed.
+    /// SMT conflicts observed (CDCL plus theory).
     smt_conflicts: AtomicU64,
     /// Term size of the most recently started SMT query.
     // synthlint: allow(relaxed-handoff) — display-only gauge; heartbeat readers tolerate stale snapshots
@@ -101,10 +101,13 @@ impl ProgressState {
         self.tick();
     }
 
-    /// Records one theory conflict inside the SMT substrate.
-    pub fn note_smt_conflict(&self) {
-        self.smt_conflicts.fetch_add(1, Ordering::Relaxed);
-        self.tick();
+    /// Records `n` conflicts (CDCL or theory) inside the SMT substrate; a
+    /// zero count is not an update.
+    pub fn note_smt_conflicts(&self, n: u64) {
+        if n > 0 {
+            self.smt_conflicts.fetch_add(n, Ordering::Relaxed);
+            self.tick();
+        }
     }
 
     /// A point-in-time copy of every counter.
@@ -144,7 +147,7 @@ pub struct ProgressSnapshot {
     pub nodes: u64,
     /// SMT checks started.
     pub smt_checks: u64,
-    /// Theory conflicts observed.
+    /// SMT conflicts observed: CDCL conflicts plus theory conflicts.
     pub smt_conflicts: u64,
     /// Term size of the most recently started SMT query.
     pub smt_query_size: u64,
@@ -181,7 +184,8 @@ mod tests {
         p.note_counterexample();
         p.set_nodes(2);
         p.note_smt_check(41);
-        p.note_smt_conflict();
+        p.note_smt_conflicts(3);
+        p.note_smt_conflicts(0);
         p.clear_stage();
         assert_eq!(p.ticks(), 8);
         let snap = p.snapshot();
@@ -191,7 +195,7 @@ mod tests {
         assert_eq!(snap.counterexamples, 1);
         assert_eq!(snap.nodes, 2);
         assert_eq!(snap.smt_checks, 1);
-        assert_eq!(snap.smt_conflicts, 1);
+        assert_eq!(snap.smt_conflicts, 3);
         assert_eq!(snap.smt_query_size, 41);
     }
 

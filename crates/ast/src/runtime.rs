@@ -6,9 +6,9 @@
 //! fields. Every engine hot loop polls the same handle, so cancelling or
 //! exhausting it stops deduction, enumeration, and the SMT substrate alike.
 //!
-//! The handle also carries the run's telemetry counters (SMT queries and
-//! retry-ladder escalations) so statistics surface without extra plumbing:
-//! whoever holds any clone of the budget can read them.
+//! The handle also carries the run's SMT query counter, so statistics
+//! surface without extra plumbing: whoever holds any clone of the budget
+//! can read it.
 
 use crate::trace::Tracer;
 use std::fmt;
@@ -64,7 +64,6 @@ struct BudgetInner {
     memory_limit: u64,
     memory_charged: AtomicU64,
     smt_queries: AtomicU64,
-    smt_retries: AtomicU64,
     /// Observability handle; clones and children share the same tracer, so
     /// metrics aggregate across parallel workers automatically.
     tracer: Tracer,
@@ -92,7 +91,6 @@ impl Budget {
             memory_limit: memory,
             memory_charged: AtomicU64::new(0),
             smt_queries: AtomicU64::new(0),
-            smt_retries: AtomicU64::new(0),
             tracer,
         }))
     }
@@ -190,7 +188,6 @@ impl Budget {
             memory_limit: u64::MAX,
             memory_charged: AtomicU64::new(0),
             smt_queries: AtomicU64::new(0),
-            smt_retries: AtomicU64::new(0),
             tracer: tracer.unwrap_or_else(|| self.0.tracer.clone()),
         }))
     }
@@ -308,19 +305,6 @@ impl Budget {
     pub fn smt_queries(&self) -> u64 {
         self.0.smt_queries.load(Ordering::Relaxed)
     }
-
-    /// Records one retry-ladder escalation taken by the SMT layer.
-    pub fn note_smt_retry(&self) {
-        self.0.smt_retries.fetch_add(1, Ordering::Relaxed);
-        if let Some(p) = &self.0.parent {
-            p.note_smt_retry();
-        }
-    }
-
-    /// Retry-ladder escalations taken under this budget.
-    pub fn smt_retries(&self) -> u64 {
-        self.0.smt_retries.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -401,9 +385,7 @@ mod tests {
         assert!(band.charge_fuel(4).is_ok());
         assert_eq!(parent.fuel_spent(), 4);
         band.note_smt_query();
-        band.note_smt_retry();
         assert_eq!(parent.smt_queries(), 1);
-        assert_eq!(parent.smt_retries(), 1);
         // Parent's fuel cap applies to the child.
         assert_eq!(band.charge_fuel(6), Err(BudgetError::FuelExhausted));
     }
@@ -483,8 +465,6 @@ mod tests {
         let c = b.clone();
         b.note_smt_query();
         c.note_smt_query();
-        c.note_smt_retry();
         assert_eq!(b.smt_queries(), 2);
-        assert_eq!(b.smt_retries(), 1);
     }
 }

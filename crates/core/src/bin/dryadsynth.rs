@@ -377,12 +377,11 @@ fn main() -> ExitCode {
 
     if opts.stats {
         eprintln!(
-            "; solver={} time={:.3}s faults={} smt_queries={} smt_retries={} fuel_spent={}",
+            "; solver={} time={:.3}s faults={} smt_queries={} fuel_spent={}",
             name,
             solved.seconds,
             stats.faults.len(),
             stats.smt_queries,
-            stats.smt_retries,
             stats.fuel_spent,
         );
         for fault in &stats.faults {

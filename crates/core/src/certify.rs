@@ -102,7 +102,10 @@ pub fn certify_solution(problem: &Problem, body: &Term, budget: Option<&Budget>)
     // on, so an `unsat` here (validity) is itself DRAT-checked — with the
     // scope selector of the `check_valid` push recorded as an assumption
     // unit in the replayed trace.
-    let mut smt = SmtSession::new(SmtConfig::builder().budget(budget).build());
+    let mut smt = SmtSession::new(SmtConfig {
+        budget,
+        ..SmtConfig::default()
+    });
     let formula = problem.verification_formula(body);
     let spec = match smt.check_valid(&formula) {
         Ok(Validity::Valid) => SpecVerdict::Proved,

@@ -62,8 +62,6 @@ pub struct CoopStats {
     pub faults: Vec<EngineFault>,
     /// SMT queries issued under the run's budget.
     pub smt_queries: u64,
-    /// SMT retry-ladder escalations taken under the run's budget.
-    pub smt_retries: u64,
     /// Fuel units charged under the run's budget.
     pub fuel_spent: u64,
 }
@@ -140,7 +138,10 @@ impl SessionVerifier {
         // (its pop runs even on error), so recover rather than propagate.
         let mut guard = self.session.lock().unwrap_or_else(|e| e.into_inner());
         let session = guard.get_or_insert_with(|| {
-            SmtSession::new(SmtConfig::builder().budget(budget.clone()).build())
+            SmtSession::new(SmtConfig {
+                budget: budget.clone(),
+                ..SmtConfig::default()
+            })
         });
         let formula = problem.verification_formula(body);
         matches!(session.check_valid(&formula), Ok(Validity::Valid))
@@ -230,7 +231,6 @@ impl CooperativeSolver {
         let mut stats = CoopStats::default();
         let outcome = self.run(problem, &mut stats);
         stats.smt_queries = self.budget.smt_queries();
-        stats.smt_retries = self.budget.smt_retries();
         stats.fuel_spent = self.budget.fuel_spent();
         // Deterministic order so `--stats`/`--json` diffs are stable across
         // runs regardless of which strategy proposed first.

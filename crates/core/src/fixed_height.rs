@@ -143,7 +143,10 @@ impl Encoder {
 
 /// A fresh SMT session under the engine's budget.
 fn new_session(cfg: &FixedHeightConfig) -> SmtSession {
-    SmtSession::new(SmtConfig::builder().budget(cfg.budget.clone()).build())
+    SmtSession::new(SmtConfig {
+        budget: cfg.budget.clone(),
+        ..SmtConfig::default()
+    })
 }
 
 impl FixedHeightSolver {

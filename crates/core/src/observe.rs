@@ -28,8 +28,10 @@ use sygus_ast::{size_bucket, solution_size, time_bucket, Json};
 /// `interner.bytes` gauges, and `metrics` may carry a `latencies` object on
 /// runs that recorded latency histograms; 5 = runs that exercised the SMT core carry a `search`
 /// summary block (CDCL/theory search-analytics aggregates: totals,
-/// mean/p90 LBD, restarts, propagations-per-decision — see DESIGN.md §13).
-pub const REPORT_VERSION: u64 = 5;
+/// mean/p90 LBD, restarts, propagations-per-decision — see DESIGN.md §13);
+/// 6 = `stats` drops the SMT retry-ladder counter (the ladder is gone),
+/// and the `search` block gains `theory_splits` (integer splits on demand).
+pub const REPORT_VERSION: u64 = 6;
 
 /// Paths carried in the report's `profile` table, at most this many, ranked
 /// by self time. The folded-stack rendering (`--render folded`) is
@@ -203,6 +205,7 @@ fn search_summary_json(metrics: &sygus_ast::MetricsSnapshot) -> Option<Json> {
         ("theory_checks", Json::from(counter("search.theory_checks_total"))),
         ("theory_conflicts", Json::from(counter("search.theory_conflicts_total"))),
         ("theory_cert_lits", Json::from(counter("search.theory_cert_lits_total"))),
+        ("theory_splits", Json::from(counter("search.theory_splits_total"))),
         ("simplex_pivots", Json::from(counter("search.simplex_pivots_total"))),
         ("dl_relaxations", Json::from(counter("search.dl_relaxations_total"))),
     ]))
@@ -256,7 +259,6 @@ fn stats_json(stats: &CoopStats) -> Json {
         ),
         ("type_b_fired", Json::from(stats.type_b_fired)),
         ("smt_queries", Json::from(stats.smt_queries)),
-        ("smt_retries", Json::from(stats.smt_retries)),
         ("fuel_spent", Json::from(stats.fuel_spent)),
     ])
 }
@@ -546,7 +548,7 @@ mod tests {
         );
         let text = report.to_json().to_string();
         let parsed = Json::parse(&text).unwrap();
-        assert_eq!(parsed.get("version").and_then(Json::as_i64), Some(5));
+        assert_eq!(parsed.get("version").and_then(Json::as_i64), Some(6));
         assert_eq!(
             parsed.get("outcome").and_then(Json::as_str),
             Some("solved")

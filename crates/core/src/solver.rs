@@ -202,7 +202,6 @@ fn finish_solve(
 fn governed_stats(budget: &Budget) -> CoopStats {
     CoopStats {
         smt_queries: budget.smt_queries(),
-        smt_retries: budget.smt_retries(),
         fuel_spent: budget.fuel_spent(),
         ..CoopStats::default()
     }

@@ -76,8 +76,8 @@ const POLL_IDENTS: &[&str] = &[
 const R1_SCOPE: &[&str] = &[
     "crates/smt/src/sat.rs",
     "crates/smt/src/simplex.rs",
-    "crates/smt/src/lia.rs",
     "crates/smt/src/inc_lra.rs",
+    "crates/smt/src/theory.rs",
     "crates/smt/src/dl.rs",
     "crates/smt/src/session.rs",
     "crates/smt/src/solver.rs",
@@ -402,8 +402,8 @@ fn build_call_graph(models: &[FileModel]) -> CallGraph {
     // Polls: direct pollers only — no transitive closure. The call graph is
     // name-merged (no receiver types), so a fixpoint saturates through
     // ubiquitous names like `new`/`push`/`from` and silences everything. One
-    // call level covers the real helpers (`check_lia_polled`,
-    // `check_budgeted` wrappers); anything deeper takes a cap or a pragma.
+    // call level covers the real helpers (the `check_budgeted` wrappers);
+    // anything deeper takes a cap or a pragma.
     let polls = direct_poll;
 
     // Thread reachability: propagate from spawners down to callees.

@@ -34,7 +34,7 @@
 
 use crate::inc_lra::LinearAtom;
 use crate::theory::{TheoryCertificate, TheorySolver};
-use crate::BigInt;
+use crate::{BigInt, Rat};
 use std::collections::BTreeMap;
 
 /// One registered atom, pre-compiled to difference form `x_p - x_q ⋈ w`
@@ -165,14 +165,6 @@ impl DifferenceLogic {
         Some(self.atoms.len() - 1)
     }
 
-    /// The full integral model, in variable order. Only meaningful right
-    /// after a successful [`check`](TheorySolver::check).
-    pub fn model(&self) -> Vec<BigInt> {
-        (0..self.nodes - 1)
-            .map(|v| BigInt::from(self.pi[v + 1] - self.pi[0]))
-            .collect()
-    }
-
     /// Records `idx`'s pre-change polarity in the innermost open frame
     /// (first touch per frame only).
     fn note(&mut self, idx: usize) {
@@ -186,7 +178,7 @@ impl DifferenceLogic {
 
     /// The edge constraints asserted by `(atom, polarity)`. Disequalities
     /// assert no edges (they are handled by pinned-bounds detection here
-    /// and by disequality splitting in the full-model check).
+    /// and by the session's disequality splits in the final check).
     fn edges_of(atom: &DlAtom, polarity: bool) -> [Option<Edge>; 2] {
         let (p, q, w) = (atom.p, atom.q, atom.w as i128);
         let fwd = Edge {
@@ -583,6 +575,19 @@ impl TheorySolver for DifferenceLogic {
         })
     }
 
+    /// The integral model `x = π(x) − π(zero)`, in variable order.
+    fn model(&self) -> Vec<Rat> {
+        (0..self.nodes - 1)
+            .map(|v| Rat::from(BigInt::from(self.pi[v + 1] - self.pi[0])))
+            .collect()
+    }
+
+    /// Zeroes the potentials; the next check revalidates from scratch.
+    fn reset_model(&mut self) {
+        self.pi.iter_mut().for_each(|p| *p = 0);
+        self.dirty = true;
+    }
+
     fn search_work(&self) -> u64 {
         self.relaxations_total
     }
@@ -676,7 +681,7 @@ mod tests {
         let mut dl = DifferenceLogic::new(1, &atoms);
         dl.assert_atom(0, true);
         assert!(unlimited(&mut dl).is_ok());
-        assert!(dl.model()[0] <= BigInt::from(3));
+        assert!(dl.model()[0] <= Rat::from(3));
         dl.assert_atom(1, true);
         let core = unlimited(&mut dl).expect_err("x <= 3 and x >= 5");
         let mut sorted = core;
@@ -684,7 +689,7 @@ mod tests {
         assert_eq!(sorted, vec![0, 1]);
         dl.retract_atom(0);
         assert!(unlimited(&mut dl).is_ok());
-        assert!(dl.model()[0] >= BigInt::from(5));
+        assert!(dl.model()[0] >= Rat::from(5));
     }
 
     /// Equality asserts both directions; its negation participates via
@@ -700,7 +705,7 @@ mod tests {
         dl.assert_atom(0, true);
         assert!(unlimited(&mut dl).is_ok());
         let m = dl.model();
-        assert_eq!(&m[0] - &m[1], BigInt::from(4));
+        assert_eq!(&m[0] - &m[1], Rat::from(4));
         dl.retract_atom(0);
         // Pin x - y to 4 through bounds, then assert the disequality.
         dl.assert_atom(1, true);
@@ -738,7 +743,7 @@ mod tests {
         assert_eq!(dl.polarity(1), None);
         assert_eq!(dl.polarity(2), Some(true));
         assert!(unlimited(&mut dl).is_ok());
-        assert!(dl.model()[0] <= BigInt::from(10));
+        assert!(dl.model()[0] <= Rat::from(10));
         // Nested frames unwind independently.
         dl.push();
         dl.retract_atom(0);
@@ -750,6 +755,27 @@ mod tests {
         dl.pop();
         assert_eq!(dl.polarity(0), Some(true));
         assert!(unlimited(&mut dl).is_ok());
+    }
+
+    /// After `reset_model` the next check recomputes the potentials from
+    /// zero: a value pushed away by a since-retracted bound comes back.
+    #[test]
+    fn reset_model_returns_to_the_origin() {
+        let atoms: Vec<LinearAtom> = vec![
+            (vec![(0, -1)], false, -50), // x >= 50
+            (vec![(0, -1)], false, 0),   // x >= 0
+        ];
+        let mut dl = DifferenceLogic::new(1, &atoms);
+        dl.assert_atom(0, true);
+        dl.assert_atom(1, true);
+        assert!(unlimited(&mut dl).is_ok());
+        assert_eq!(dl.model(), vec![Rat::from(50)]);
+        dl.retract_atom(0);
+        assert!(unlimited(&mut dl).is_ok());
+        assert_eq!(dl.model(), vec![Rat::from(50)], "still feasible");
+        dl.reset_model();
+        assert!(unlimited(&mut dl).is_ok());
+        assert_eq!(dl.model(), vec![Rat::from(0)]);
     }
 
     /// The budget surfaces as `None` and leaves the engine re-checkable.
@@ -787,8 +813,8 @@ mod tests {
         dl.assert_atom(2, true);
         assert!(unlimited(&mut dl).is_ok());
         let m = dl.model();
-        assert_eq!(&m[0] - &m[1], BigInt::from(i64::MAX));
-        assert!(m[0] <= BigInt::from(i64::MIN));
+        assert_eq!(&m[0] - &m[1], Rat::from(i64::MAX));
+        assert!(m[0] <= Rat::from(i64::MIN));
         // x ≥ 2^63 (as -x ≤ i64::MIN) against x ≤ i64::MIN: conflict.
         dl.assert_atom(1, true);
         assert!(unlimited(&mut dl).is_err());

@@ -8,8 +8,11 @@
 //!
 //! Rational reasoning under-approximates integer infeasibility (rational-
 //! unsat implies integer-unsat, never the converse), so every conflict
-//! reported here is sound; complete integer checks still happen on full
-//! models. Disequalities (negated equalities) are ignored at this level.
+//! reported here is sound. Integer completeness comes from the session's
+//! final check, which reads the rational point ([`TheorySolver::model`])
+//! and splits on demand: a fractional variable becomes a fresh bound atom
+//! for the SAT core to decide. Disequalities (negated equalities) only
+//! conflict here when the bounds pin their form to the forbidden value.
 
 use crate::simplex::BoundSide;
 use crate::theory::{TheoryCertificate, TheorySolver};
@@ -290,10 +293,9 @@ impl IncrementalLra {
             .expect("an unlimited feasibility check cannot give up")
     }
 
-    /// [`IncLra::check`] under a pivot budget: gives up (`None`) after
-    /// `max_pivots` simplex pivots or when `poll` returns `false`. A `Some`
-    /// answer is exact; `None` means the caller should fall back to its
-    /// authoritative (budgeted) full check rather than trust this one.
+    /// [`IncrementalLra::check`] under a pivot budget: gives up (`None`)
+    /// after `max_pivots` simplex pivots or when `poll` returns `false`. A
+    /// `Some` answer is exact; `None` says nothing.
     pub fn check_budgeted(
         &mut self,
         max_pivots: u64,
@@ -452,6 +454,17 @@ impl TheorySolver for IncrementalLra {
         self.last_conflict.clone()
     }
 
+    fn model(&self) -> Vec<Rat> {
+        self.var_ids
+            .iter()
+            .map(|&id| self.sx.value(id).clone())
+            .collect()
+    }
+
+    fn reset_model(&mut self) {
+        self.sx.reset_assignment();
+    }
+
     fn search_work(&self) -> u64 {
         self.sx.pivots_total()
     }
@@ -599,6 +612,29 @@ mod tests {
         assert_eq!(st.polarity(2), None);
         assert!(st.check().is_ok());
         assert!(st.explain_conflict().is_none(), "cleared on success");
+    }
+
+    /// After `reset_model` the next check starts from the origin: a value
+    /// pushed away by a since-retracted bound comes back to the nearest
+    /// point of the remaining bounds.
+    #[test]
+    fn reset_model_returns_to_the_origin() {
+        let mut st =
+            IncrementalLra::new(1, &[(vec![(0, -1)], false, -50), (vec![(0, -1)], false, 0)]);
+        st.assert_atom(0, true); // x >= 50
+        st.assert_atom(1, true); // x >= 0
+        assert!(st.check().is_ok());
+        assert_eq!(TheorySolver::model(&st), vec![Rat::from(50)]);
+        st.retract_atom(0);
+        assert!(st.check().is_ok());
+        assert_eq!(
+            TheorySolver::model(&st),
+            vec![Rat::from(50)],
+            "still feasible"
+        );
+        TheorySolver::reset_model(&mut st);
+        assert!(st.check().is_ok());
+        assert_eq!(TheorySolver::model(&st), vec![Rat::from(0)]);
     }
 
     #[test]

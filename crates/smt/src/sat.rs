@@ -1,9 +1,10 @@
 //! A CDCL SAT solver: two-watched-literal propagation, 1UIP conflict
 //! analysis, VSIDS-style activities, phase saving, and Luby restarts.
 //!
-//! The solver is incremental in the simple sense the lazy DPLL(T) loop
-//! needs: clauses (e.g. theory blocking clauses) may be added between
-//! `solve` calls.
+//! The solver is incremental in the sense the lazy DPLL(T) loop needs:
+//! clauses may be added between `solve` calls, and a theory callback
+//! consulted during search may add theory clauses and fresh split
+//! variables without restarting it (see [`TheoryView`]).
 //!
 //! With [`SatSolver::enable_proof`] the solver additionally records a
 //! DRAT-style clause trace (inputs, learned clauses, deletions) that the
@@ -86,6 +87,50 @@ pub enum SatResult {
 }
 
 const INVALID: usize = usize::MAX;
+
+/// The SAT search as a theory callback sees it: the current assignment,
+/// whether it is complete, and the two ways a theory can steer the search
+/// besides returning a clause — growing the problem with fresh split
+/// variables, and giving up.
+///
+/// A callback that allocates variables with [`TheoryView::new_var`] and
+/// returns no clause makes the search decide the fresh variables before it
+/// may answer `sat`, so a complete assignment always reaches the theory
+/// again after a split.
+pub struct TheoryView<'a> {
+    sat: &'a mut SatSolver,
+    complete: bool,
+    give_up: bool,
+}
+
+impl TheoryView<'_> {
+    /// The current (partial) assignment, indexed by variable.
+    pub fn assignment(&self) -> &[Option<bool>] {
+        &self.sat.assign
+    }
+
+    /// Whether every variable is assigned: the callback is the final check,
+    /// and answering no clause and no fresh variable makes the search
+    /// return `sat`.
+    pub fn is_complete(&self) -> bool {
+        self.complete
+    }
+
+    /// Allocates a fresh, unassigned variable whose first decision takes
+    /// `phase` (the split atoms of splitting on demand).
+    pub fn new_var(&mut self, phase: bool) -> Var {
+        let v = self.sat.new_var();
+        self.sat.phase[v as usize] = phase;
+        v
+    }
+
+    /// Ends the search without an answer (the solve entry point returns
+    /// `None`, root level restored), e.g. when the theory check ran out of
+    /// budget.
+    pub fn give_up(&mut self) {
+        self.give_up = true;
+    }
+}
 
 /// Conflicts between cancellation polls in the `*_polled` solve entry
 /// points: frequent enough that a daemon cancel lands within milliseconds,
@@ -402,10 +447,7 @@ impl SatSolver {
                 }
             }
             _ => {
-                let idx = self.clauses.len();
-                self.watches[lits[0].index()].push(idx);
-                self.watches[lits[1].index()].push(idx);
-                self.clauses.push(lits);
+                self.attach(lits);
             }
         }
     }
@@ -596,9 +638,25 @@ impl SatSolver {
         (learned, bj)
     }
 
-    /// Integrates a theory-conflict clause: backjumps just far enough for
-    /// the clause to become unit (or free) and attaches it. Returns `false`
-    /// when the clause is conflicting at the root level (unsat).
+    /// Adds a theory lemma between searches: logged as a
+    /// [`ProofStep::TheoryLemma`] (its justification is the theory, not
+    /// the clause database) and otherwise handled like
+    /// [`SatSolver::add_clause`].
+    pub(crate) fn add_theory_lemma(&mut self, mut lits: Vec<Lit>) {
+        lits.sort();
+        lits.dedup();
+        if self.proof.is_some() {
+            let logged = lits.clone();
+            self.log(|| ProofStep::TheoryLemma(logged));
+        }
+        self.insert_clause(lits, false);
+    }
+
+    /// Integrates a theory clause during search: backjumps just far enough
+    /// for the clause to become unit (or free) and attaches it — in place,
+    /// without a backjump, when two of its literals are unassigned (a
+    /// lemma over fresh split atoms). Returns `false` when the clause is
+    /// conflicting at the root level (unsat).
     fn learn_theory_clause(&mut self, mut lits: Vec<Lit>) -> bool {
         lits.sort();
         lits.dedup();
@@ -614,8 +672,8 @@ impl SatSolver {
             self.unsat_at_root = true;
             return false;
         }
-        // Sort by assignment level, highest first (unassigned counts as
-        // current level — should not happen for conflict clauses).
+        // Unassigned literals first (they count as the current level), then
+        // by assignment level, highest first.
         let lvl = |me: &SatSolver, l: Lit| -> u32 {
             if me.assign[l.var() as usize].is_some() {
                 me.level[l.var() as usize]
@@ -623,7 +681,11 @@ impl SatSolver {
                 me.decision_level()
             }
         };
-        lits.sort_by_key(|&l| std::cmp::Reverse(lvl(self, l)));
+        lits.sort_by_key(|&l| (self.value(l).is_some(), std::cmp::Reverse(lvl(self, l))));
+        if lits.len() >= 2 && self.value(lits[1]).is_none() {
+            self.attach(lits);
+            return true;
+        }
         let top = lvl(self, lits[0]);
         if lits.len() == 1 || top == 0 {
             self.cancel_until(0);
@@ -639,19 +701,26 @@ impl SatSolver {
         };
         self.cancel_until(target);
         self.prop_head = self.trail.len();
-        let idx = self.clauses.len();
-        self.watches[lits[0].index()].push(idx);
-        self.watches[lits[1].index()].push(idx);
         let first = lits[0];
         let now_unit =
             lits[1..].iter().all(|&l| self.value(l) == Some(false)) && self.value(first).is_none();
-        self.clauses.push(lits);
+        let idx = self.attach(lits);
         if now_unit && !self.enqueue(first, idx) {
             // Cannot happen (first was unassigned), but stay safe.
             self.unsat_at_root = self.decision_level() == 0;
             return !self.unsat_at_root;
         }
         true
+    }
+
+    /// Attaches a clause of two or more literals, watching its first two,
+    /// and returns its index.
+    fn attach(&mut self, lits: Vec<Lit>) -> usize {
+        let idx = self.clauses.len();
+        self.watches[lits[0].index()].push(idx);
+        self.watches[lits[1].index()].push(idx);
+        self.clauses.push(lits);
+        idx
     }
 
     fn cancel_until(&mut self, lvl: u32) {
@@ -701,33 +770,18 @@ impl SatSolver {
         self.solve_with_theory(max_conflicts, |_| None)
     }
 
-    /// DPLL(T)-style solving: `theory` is consulted with the current
-    /// assignment after propagation settles (and always on a full model).
-    /// Returning `Some(clause)` reports a theory conflict; the clause is
-    /// added and the search restarts from the root level.
-    ///
-    /// The callback sees `assign[var] = Some(value)` for the current
-    /// partial assignment.
+    /// DPLL(T)-style solving: `theory` is consulted through a
+    /// [`TheoryView`] after propagation settles, on partial assignments and
+    /// always on the complete one before answering `sat`. Returning
+    /// `Some(clause)` adds a theory clause (a conflict, or a lemma over
+    /// fresh split variables) through the backjumping lemma path; the
+    /// search continues from there rather than restarting.
     pub fn solve_with_theory(
         &mut self,
         max_conflicts: Option<u64>,
-        theory: impl FnMut(&[Option<bool>]) -> Option<Vec<Lit>>,
+        theory: impl FnMut(&mut TheoryView<'_>) -> Option<Vec<Lit>>,
     ) -> Option<SatResult> {
         self.solve_under(&[], max_conflicts, theory)
-    }
-
-    /// [`SatSolver::solve_with_theory`] with a cancellation hook: `poll` is
-    /// consulted every [`POLL_CONFLICT_STRIDE`] conflicts and a `false`
-    /// return abandons the search (`None`, root level restored). This is how
-    /// a daemon cancel reaches the middle of a conflict chunk instead of
-    /// waiting out up to `max_conflicts` of CDCL churn.
-    pub fn solve_with_theory_polled(
-        &mut self,
-        max_conflicts: Option<u64>,
-        poll: impl FnMut() -> bool,
-        theory: impl FnMut(&[Option<bool>]) -> Option<Vec<Lit>>,
-    ) -> Option<SatResult> {
-        self.solve_under_polled(&[], max_conflicts, poll, theory)
     }
 
     /// [`SatSolver::solve_with_theory`] under *assumptions*: the given
@@ -747,19 +801,22 @@ impl SatSolver {
         &mut self,
         assumptions: &[Lit],
         max_conflicts: Option<u64>,
-        theory: impl FnMut(&[Option<bool>]) -> Option<Vec<Lit>>,
+        theory: impl FnMut(&mut TheoryView<'_>) -> Option<Vec<Lit>>,
     ) -> Option<SatResult> {
         self.solve_under_polled(assumptions, max_conflicts, || true, theory)
     }
 
-    /// [`SatSolver::solve_under`] with a cancellation hook; see
-    /// [`SatSolver::solve_with_theory_polled`] for the polling contract.
+    /// [`SatSolver::solve_under`] with a cancellation hook: `poll` is
+    /// consulted every [`POLL_CONFLICT_STRIDE`] conflicts and a `false`
+    /// return abandons the search (`None`, root level restored). This is how
+    /// a daemon cancel reaches the middle of a conflict chunk instead of
+    /// waiting out up to `max_conflicts` of CDCL churn.
     pub fn solve_under_polled(
         &mut self,
         assumptions: &[Lit],
         max_conflicts: Option<u64>,
         mut poll: impl FnMut() -> bool,
-        mut theory: impl FnMut(&[Option<bool>]) -> Option<Vec<Lit>>,
+        mut theory: impl FnMut(&mut TheoryView<'_>) -> Option<Vec<Lit>>,
     ) -> Option<SatResult> {
         if self.unsat_at_root {
             return Some(SatResult::Unsat);
@@ -815,11 +872,8 @@ impl SatSolver {
                             return Some(SatResult::Unsat);
                         }
                     } else {
-                        let idx = self.clauses.len();
-                        self.watches[learned[0].index()].push(idx);
-                        self.watches[learned[1].index()].push(idx);
                         let asserting = learned[0];
-                        self.clauses.push(learned);
+                        let idx = self.attach(learned);
                         let ok = self.enqueue(asserting, idx);
                         debug_assert!(ok || self.sabotage_learning);
                     }
@@ -862,8 +916,20 @@ impl SatSolver {
                         continue;
                     }
                     // Propagation settled: consult the theory before
-                    // extending the assignment.
-                    if let Some(clause) = theory(&self.assign) {
+                    // extending the assignment (the final check when every
+                    // variable is assigned).
+                    let vars = self.num_vars();
+                    let mut view = TheoryView {
+                        complete: self.trail.len() == vars,
+                        give_up: false,
+                        sat: self,
+                    };
+                    let lemma = theory(&mut view);
+                    if view.give_up {
+                        self.cancel_until(0);
+                        return None;
+                    }
+                    if let Some(clause) = lemma {
                         if !self.learn_theory_clause(clause) {
                             return Some(SatResult::Unsat);
                         }

@@ -8,10 +8,10 @@
 //! `search.*` total is incremented only here, from the same drained
 //! intervals that become search records. The records therefore sum exactly
 //! to the counter totals (and to the RunReport `search` block built from
-//! them) by construction, across timeouts, budget aborts, and retry
-//! ladders alike. The SMT driver drains after every conflict chunk, so a
-//! cancelled query loses nothing but the open tail — and a final
-//! `close = true` drain at each query's return point collects that too.
+//! them) by construction, across timeouts and budget aborts alike. The SMT
+//! driver drains after every conflict chunk, and with `close = true` at
+//! each query's return point — an answer or an error — so a query loses
+//! nothing of its search.
 //!
 //! One search record serialises to (all integers; deltas over the interval
 //! unless noted):
@@ -35,8 +35,9 @@ use sygus_ast::trace::{SearchRecord, Tracer};
 
 /// Drains the solver's accumulated search intervals into `tracer`: bumps
 /// the `search.*` counters, records per-clause LBDs into the `search.lbd`
-/// histogram, sets the `search.db_clauses` gauge, and (when the tracer
-/// keeps records) emits one [`SearchRecord`] per interval. With `close`,
+/// histogram, sets the `search.db_clauses` gauge, feeds the conflicts to
+/// the watchdog's progress line, and (when the tracer keeps records) emits
+/// one [`SearchRecord`] per interval. With `close`,
 /// the partial interval since the last cut is included — callers pass
 /// `true` at a query's return points and `false` between conflict chunks.
 pub fn drain_search(sat: &mut SatSolver, tracer: &Tracer, close: bool) {
@@ -91,6 +92,7 @@ pub fn drain_search(sat: &mut SatSolver, tracer: &Tracer, close: bool) {
     }
     metrics.add("search.intervals_total", intervals.len() as u64);
     metrics.add("search.conflicts_total", conflicts);
+    tracer.progress().note_smt_conflicts(conflicts);
     metrics.add("search.decisions_total", decisions);
     metrics.add("search.propagations_total", propagations);
     metrics.add("search.restarts_total", restarts);

@@ -24,8 +24,11 @@
 //!   variable once, with its defining side constraints asserted globally
 //!   (they are definitional, so they must outlive the scope that first
 //!   mentioned them);
-//! * the theory engine: new variables and linear forms grow it in place
-//!   ([`TheorySolver::add_var`] / [`TheorySolver::add_atom`]);
+//! * the theory engine: new variables, linear forms and split atoms grow
+//!   it in place ([`TheorySolver::add_var`] / [`TheorySolver::add_atom`]);
+//!   only its point restarts from the origin at each check
+//!   ([`TheorySolver::reset_model`]), so models do not drift with the
+//!   session;
 //! * the static-lemma dedup set, so eager theory lemmas are emitted once.
 //!
 //! Certification (always on): `sat` models are re-evaluated with exact
@@ -36,35 +39,28 @@
 
 use crate::drat::ProofStep;
 use crate::inc_lra::LinearAtom;
+use crate::sat::TheoryView;
 use crate::solver::{
     add_static_lemmas, certify_sat_model, certify_unsat_steps, poll_budget, Atom, Encoder, Model,
-    Purifier, SmtConfig, SmtError, SmtResult, TheoryChecker, TheoryOutcome, Validity,
+    Purifier, SmtConfig, SmtError, SmtResult, Validity,
 };
-use crate::theory::{fits_dl, TheorySelect, TheorySolver};
-use crate::{DifferenceLogic, IncrementalLra, Lit, SatResult};
-use std::collections::{BTreeMap, HashSet};
-use sygus_ast::trace::Stage;
+use crate::theory::{fits_dl, solve_equalities, Equalities, TheorySelect, TheorySolver};
+use crate::{BigInt, DifferenceLogic, IncrementalLra, Lit, Rat, SatResult};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use sygus_ast::trace::{Stage, Tracer};
 use sygus_ast::{Sort, Symbol, Term};
 
-/// Pivot cap for the *eager* incremental feasibility check consulted from
-/// inside the SAT search. Normal repair takes a handful of pivots; on
-/// tableaus whose rational coefficients explode, the eager check gives up
-/// at the cap and the authoritative (node- and pivot-budgeted) full-model
-/// check decides instead — without this, a single `IncrementalLra::check`
-/// can pivot for minutes while the deadline is never consulted.
+/// Pivot cap for the *eager* partial checks consulted from inside the SAT
+/// search. Normal repair takes a handful of pivots; on tableaus whose
+/// rational coefficients explode, a partial check gives up at the cap and
+/// reports no conflict, leaving the decision to the final check of the
+/// complete assignment, which has no cap but polls the budget.
 const THEORY_PIVOT_CAP: u64 = 200_000;
 
-/// The static counter name for a retry-ladder rung (allocation-free; the
-/// ladder is short — the default config takes at most 2 escalations).
-fn retry_rung_counter(escalation: u32) -> &'static str {
-    match escalation {
-        1 => "smt.retry.rung1",
-        2 => "smt.retry.rung2",
-        3 => "smt.retry.rung3",
-        4 => "smt.retry.rung4",
-        _ => "smt.retry.rung5+",
-    }
-}
+/// Integer splits (branch atoms and disequality lemmas) allowed in one
+/// check. Branching on unbounded variables need not terminate; past the
+/// cap the check answers [`SmtError::ResourceLimit`].
+const MAX_SPLITS_PER_CHECK: u64 = 4_096;
 
 /// One open assertion scope.
 struct Scope {
@@ -231,8 +227,8 @@ impl SmtSession {
     }
 
     /// Checks satisfiability of the active assertions (root scope plus all
-    /// open scopes), with the same retry ladder, metrics, and certification
-    /// contract as [`SmtSolver::check`](crate::SmtSolver::check).
+    /// open scopes), with the same metrics and certification contract as
+    /// [`SmtSolver::check`](crate::SmtSolver::check).
     ///
     /// # Errors
     ///
@@ -253,26 +249,9 @@ impl SmtSession {
                 .add("smt.clauses_retained", self.learned_live as u64);
         }
         let clauses_before = self.enc.sat.num_clauses();
-        let mut escalation: u32 = 0;
-        let result = loop {
-            let factor = 1u64 << (2 * escalation.min(16));
-            let lia_budget = self.cfg.lia_budget.max(1).saturating_mul(factor);
-            let rounds = self.cfg.max_theory_rounds.max(1).saturating_mul(factor);
-            match self.check_once(lia_budget, rounds) {
-                Err(SmtError::ResourceLimit(which)) => {
-                    if escalation >= self.cfg.retry_escalations || self.cfg.budget.check().is_err()
-                    {
-                        break Err(SmtError::ResourceLimit(which));
-                    }
-                    escalation += 1;
-                    self.cfg.budget.note_smt_retry();
-                    tracer.metrics().bump(retry_rung_counter(escalation));
-                }
-                other => break other,
-            }
-        };
-        // Everything added during the search (learned, blocking, and theory
-        // lemma clauses) is retained for the next query.
+        let result = self.check_once();
+        // Everything added during the search (learned clauses and theory
+        // lemmas) is retained for the next query.
         self.learned_live += self.enc.sat.num_clauses().saturating_sub(clauses_before);
         self.checks += 1;
         let answer = match &result {
@@ -286,7 +265,7 @@ impl SmtSession {
             _ => "smt.unknown",
         });
         let depth = self.scopes.len();
-        drop(span.with_detail(|| format!("answer={answer} rung={escalation} scopes={depth}")));
+        drop(span.with_detail(|| format!("answer={answer} scopes={depth}")));
         result
     }
 
@@ -386,266 +365,417 @@ impl SmtSession {
         )
     }
 
-    /// One attempt of the lazy DPLL(T) loop under explicit limits, driving
-    /// [`crate::SatSolver::solve_under`] with the open-scope selectors as
-    /// assumptions.
-    fn check_once(
-        &mut self,
-        lia_budget: u64,
-        max_theory_rounds: u64,
-    ) -> Result<SmtResult, SmtError> {
+    /// The lazy DPLL(T) loop: one SAT search under the open-scope
+    /// selectors as assumptions ([`crate::SatSolver::solve_under_polled`],
+    /// in conflict chunks so the deadline is honored), with the warm theory
+    /// engine answering every partial check and the final check of each
+    /// complete assignment (see [`TheoryBridge`]).
+    fn check_once(&mut self) -> Result<SmtResult, SmtError> {
         poll_budget(&self.cfg.budget)?;
         self.sync_theory();
+        if let Some(inc) = &mut self.inc {
+            inc.reset_model();
+        }
         let active = self.active_formula();
         let assumptions: Vec<Lit> = self.scopes.iter().map(|s| s.selector).collect();
-
-        // Split disjoint field borrows: the SAT core is driven mutably while
-        // the theory callback owns the warm theory engine.
         let cfg = &self.cfg;
         let enc = &mut self.enc;
-        let inc = &mut self.inc;
-        let index = &self.index;
-
-        let checker = TheoryChecker {
-            index: index.clone(),
-            cfg,
-            lia_budget,
-        };
-        let min_checker = TheoryChecker {
-            index: index.clone(),
-            cfg,
-            lia_budget: (lia_budget / 64).max(200),
-        };
-
-        // The SAT variable of each registered atom, in theory-index order.
-        let atom_vars: Vec<u32> = enc.atom_list.iter().map(|a| enc.atoms[a]).collect();
         // Dispatch metrics: which engine serves this check (a DL session may
         // have migrated to simplex by now).
-        let use_dl = inc.as_ref().is_some_and(|inc| inc.name() == "dl");
-        if cfg.theory != TheorySelect::Simplex && !atom_vars.is_empty() {
+        let use_dl = self.inc.as_ref().is_some_and(|inc| inc.name() == "dl");
+        if cfg.theory != TheorySelect::Simplex && !enc.atom_list.is_empty() {
             cfg.budget.tracer().metrics().bump(if use_dl {
                 "theory.dl_dispatched"
             } else {
                 "theory.dl_fallbacks"
             });
         }
-        let deadline_hit = std::cell::Cell::new(false);
-        // Search-analytics accumulators for theory work. The callback runs
-        // after every propagation settle — far too hot for the registry's
-        // counter mutex — so it writes plain cells that get flushed to
-        // `search.*` counters at conflict-chunk boundaries. Sessions reuse
-        // the engine across checks, so the work counter is differenced
-        // from the engine's lifetime total.
-        let theory_checks = std::cell::Cell::new(0u64);
-        let theory_conflicts = std::cell::Cell::new(0u64);
-        let theory_cert_lits = std::cell::Cell::new(0u64);
-        let work_before = inc.as_ref().map_or(0, |inc| inc.search_work());
-        let theory_work_seen = std::cell::Cell::new(work_before);
-        let theory_work_flushed = std::cell::Cell::new(work_before);
-        let mut theory_cb = |assign: &[Option<bool>]| -> Option<Vec<Lit>> {
-            // No engine means no atoms: a pure boolean query.
-            let inc = inc.as_deref_mut()?;
-            if deadline_hit.get() {
-                return None;
-            }
-            if poll_budget(&cfg.budget).is_err() {
-                deadline_hit.set(true);
-                return None;
-            }
-            let dl_span = use_dl.then(|| cfg.budget.tracer().span(Stage::Dl));
-            for (i, &v) in atom_vars.iter().enumerate() {
-                match assign.get(v as usize).copied().flatten() {
-                    Some(b) => inc.assert_atom(i, b),
-                    None => inc.retract_atom(i),
-                }
-            }
-            let verdict = inc.check(THEORY_PIVOT_CAP, &mut || poll_budget(&cfg.budget).is_ok());
-            theory_checks.set(theory_checks.get() + 1);
-            theory_work_seen.set(inc.search_work());
-            drop(dl_span);
-            match verdict {
-                None => {
-                    // The eager check gave up (deadline, or a pathological
-                    // pivot sequence): report no conflict and let the
-                    // authoritative budgeted full-model check decide.
-                    if poll_budget(&cfg.budget).is_err() {
-                        deadline_hit.set(true);
-                    }
-                    None
-                }
-                Some(Ok(())) => None,
-                Some(Err(core)) => {
-                    theory_conflicts.set(theory_conflicts.get() + 1);
-                    theory_cert_lits.set(theory_cert_lits.get() + core.len() as u64);
-                    Some(
-                        core.iter()
-                            .map(|&i| {
-                                let pol = inc.polarity(i).expect("core atoms are asserted");
-                                Lit::new(atom_vars[i], pol)
-                            })
-                            .collect(),
-                    )
-                }
-            }
+        let mut by_index: Vec<(usize, Symbol)> = self.index.iter().map(|(&s, &i)| (i, s)).collect();
+        by_index.sort_unstable();
+        // Sessions reuse the engine across checks, so its work counter is
+        // differenced from the engine's lifetime total.
+        let work = self.inc.as_ref().map_or(0, |inc| inc.search_work());
+        let mut bridge = TheoryBridge {
+            cfg,
+            inc: &mut self.inc,
+            use_dl,
+            atom_vars: enc.atom_list.iter().map(|a| enc.atoms[a]).collect(),
+            atoms: &mut enc.atoms,
+            atom_list: &mut enc.atom_list,
+            lin_atoms: &mut self.lin_atoms,
+            index: &self.index,
+            symbols: by_index.into_iter().map(|(_, s)| s).collect(),
+            splits: 0,
+            reduced: None,
+            error: None,
+            model: None,
+            checks: 0,
+            conflicts: 0,
+            cert_lits: 0,
+            split_count: 0,
+            work_seen: work,
+            work_flushed: work,
         };
-        let flush_theory = |m: &sygus_ast::trace::MetricsRegistry| {
-            let checks = theory_checks.take();
-            if checks > 0 {
-                m.add("search.theory_checks_total", checks);
-            }
-            let conflicts = theory_conflicts.take();
-            if conflicts > 0 {
-                m.add("search.theory_conflicts_total", conflicts);
-            }
-            let lits = theory_cert_lits.take();
-            if lits > 0 {
-                m.add("search.theory_cert_lits_total", lits);
-            }
-            let delta = theory_work_seen.get() - theory_work_flushed.get();
-            theory_work_flushed.set(theory_work_seen.get());
-            if delta > 0 {
-                let name = if use_dl {
-                    "search.dl_relaxations_total"
-                } else {
-                    "search.simplex_pivots_total"
-                };
-                m.add(name, delta);
-            }
-        };
-
-        let mut rounds: u64 = 0;
-        loop {
-            poll_budget(&cfg.budget)?;
-            let _ = cfg.budget.charge_fuel(1);
-            cfg.budget.tracer().metrics().bump("smt.theory_rounds");
-            rounds += 1;
-            if rounds > max_theory_rounds {
-                return Err(SmtError::ResourceLimit("theory rounds"));
-            }
-            // Solve the propositional abstraction in conflict chunks so the
-            // deadline is honored; within a chunk the conflict-stride poll
-            // lets cancellation land mid-search.
-            let poll_handle = cfg.budget.clone();
-            let bool_model = loop {
-                let step = enc.sat.solve_under_polled(
-                    &assumptions,
-                    Some(20_000),
-                    || poll_handle.exceeded().is_none(),
-                    &mut theory_cb,
-                );
-                // Chunk boundary: drain search intervals and theory cells
-                // (terminal answers close the open tail).
-                let done = step.is_some();
-                crate::search::drain_search(&mut enc.sat, cfg.budget.tracer(), done);
-                flush_theory(cfg.budget.tracer().metrics());
-                match step {
-                    Some(SatResult::Unsat) => {
-                        // The refutation is conditional on the open scopes:
-                        // certify the trace extended with one input unit per
-                        // assumed selector.
-                        let mut steps = enc.sat.proof_steps().to_vec();
-                        steps.extend(assumptions.iter().map(|&a| ProofStep::Input(vec![a])));
-                        certify_unsat_steps(cfg, &steps)?;
-                        return Ok(SmtResult::Unsat);
-                    }
-                    Some(SatResult::Sat(m)) => break m,
-                    None => poll_budget(&cfg.budget)?,
-                }
+        let poll_handle = cfg.budget.clone();
+        let bool_model = loop {
+            let step = enc.sat.solve_under_polled(
+                &assumptions,
+                Some(20_000),
+                || poll_handle.exceeded().is_none(),
+                |view| bridge.on_assignment(view),
+            );
+            let stop = match step {
+                None => poll_budget(&cfg.budget)
+                    .err()
+                    .or_else(|| bridge.error.take()),
+                Some(_) => None,
             };
-            // Collect asserted theory literals.
-            let asserted: Vec<(usize, bool)> = atom_vars
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (i, bool_model[v as usize]))
-                .collect();
-            let lits: Vec<(&Atom, bool)> = asserted
-                .iter()
-                .map(|&(i, pol)| (&enc.atom_list[i], pol))
-                .collect();
-            match checker.check(&lits)? {
-                TheoryOutcome::Sat(point) => {
-                    let mut model = Model::default();
-                    for (&s, &vi) in index {
-                        model.ints.insert(s, point[vi].clone());
-                    }
-                    for (&s, &v) in &enc.bool_vars {
-                        model.bools.insert(s, bool_model[v as usize]);
-                    }
-                    // Certify on the *full* (purification vars included)
-                    // model, then drop purification-internal variables.
-                    certify_sat_model(cfg, &active, &model)?;
-                    model.ints.retain(|s, _| !s.as_str().starts_with("ite!"));
-                    return Ok(SmtResult::Sat(model));
-                }
-                TheoryOutcome::Unsat => {
-                    cfg.budget.tracer().metrics().bump("smt.conflicts");
-                    cfg.budget.tracer().progress().note_smt_conflict();
-                    // Core minimization: binary-search the minimal failing
-                    // prefix ("prefix is unsat" is monotone, so O(log n)
-                    // checks locate it), then greedy deletion on the
-                    // survivor when it is small enough.
-                    let mut core: Vec<(usize, bool)> = asserted.clone();
-                    if core.len() > 1 {
-                        let unsat_prefix = |k: usize| -> Result<bool, SmtError> {
-                            poll_budget(&cfg.budget)?;
-                            let lits: Vec<(&Atom, bool)> = asserted[..k]
-                                .iter()
-                                .map(|&(i, pol)| (&enc.atom_list[i], pol))
-                                .collect();
-                            Ok(matches!(min_checker.check(&lits), Ok(TheoryOutcome::Unsat)))
-                        };
-                        let (mut lo, mut hi) = (1usize, asserted.len());
-                        if unsat_prefix(hi)? {
-                            // synthlint: allow(unpolled-loop) — O(log n) core binary search; every probe re-checks the theory under the budget
-                            while lo < hi {
-                                let mid = lo + (hi - lo) / 2;
-                                if unsat_prefix(mid)? {
-                                    hi = mid;
-                                } else {
-                                    lo = mid + 1;
-                                }
-                            }
-                            core = asserted[..lo].to_vec();
-                        }
-                        if core.len() <= 40 {
-                            let mut i = core.len();
-                            while i > 0 {
-                                i -= 1;
-                                poll_budget(&cfg.budget)?;
-                                if core.len() <= 1 {
-                                    break;
-                                }
-                                let mut trial = core.clone();
-                                trial.remove(i);
-                                let trial_lits: Vec<(&Atom, bool)> = trial
-                                    .iter()
-                                    .map(|&(k, pol)| (&enc.atom_list[k], pol))
-                                    .collect();
-                                if matches!(
-                                    min_checker.check(&trial_lits),
-                                    Ok(TheoryOutcome::Unsat)
-                                ) {
-                                    core = trial;
-                                }
-                            }
-                        }
-                    }
-                    // Theory lemmas are scope-independent (they speak about
-                    // atom semantics), so they are added unguarded and
-                    // survive pops.
-                    // The negation of each asserted core literal.
-                    let clause: Vec<Lit> = core
-                        .iter()
-                        .map(|&(i, pol)| Lit::new(atom_vars[i], pol))
-                        .collect();
-                    // Full-model conflicts count as theory conflicts with
-                    // the blocking clause as certificate (cold path).
-                    let m = cfg.budget.tracer().metrics();
-                    m.add("search.theory_conflicts_total", 1);
-                    m.add("search.theory_cert_lits_total", clause.len() as u64);
-                    enc.sat.add_clause(clause);
-                }
+            // Chunk boundary: drain search intervals and theory counters
+            // (answers and errors close the open tail).
+            let done = step.is_some() || stop.is_some();
+            crate::search::drain_search(&mut enc.sat, cfg.budget.tracer(), done);
+            bridge.flush(cfg.budget.tracer());
+            if let Some(e) = stop {
+                return Err(e);
             }
+            match step {
+                Some(SatResult::Unsat) => {
+                    // The refutation is conditional on the open scopes:
+                    // certify the trace extended with one input unit per
+                    // assumed selector.
+                    let mut steps = enc.sat.proof_steps().to_vec();
+                    steps.extend(assumptions.iter().map(|&a| ProofStep::Input(vec![a])));
+                    certify_unsat_steps(cfg, &steps)?;
+                    return Ok(SmtResult::Unsat);
+                }
+                Some(SatResult::Sat(m)) => break m,
+                None => {}
+            }
+        };
+        let mut model = Model::default();
+        // No engine means no atoms: a pure boolean query has no integers.
+        for (&s, value) in bridge
+            .symbols
+            .iter()
+            .zip(bridge.model.take().unwrap_or_default())
+        {
+            model.ints.insert(s, value);
+        }
+        for (&s, &v) in &enc.bool_vars {
+            model.bools.insert(s, bool_model[v as usize]);
+        }
+        // Certify on the *full* (purification vars included) model, then
+        // drop purification-internal variables.
+        certify_sat_model(cfg, &active, &model)?;
+        model.ints.retain(|s, _| !s.as_str().starts_with("ite!"));
+        Ok(SmtResult::Sat(model))
+    }
+}
+
+/// The theory side of one check, consulted by the SAT search after every
+/// propagation settle: it mirrors the assignment into the warm engine and
+/// checks it — eagerly under [`THEORY_PIVOT_CAP`] on partial assignments,
+/// authoritatively on complete ones, where it also makes the engine's
+/// model integral by *splitting on demand* (Barrett, Nieuwenhuis, Oliveras
+/// & Tinelli 2006; Dutertre & de Moura 2006):
+///
+/// * a fractional model is first tried against the asserted equalities:
+///   their reduction either refutes them (the GCD test, a conflict over
+///   the equalities) or yields the integer point nearest the model, which
+///   is the answer when it satisfies every asserted atom;
+/// * otherwise a fractional variable `x = v` becomes the fresh bound atom
+///   `x ≤ ⌊v⌋` for the SAT core to decide (its negation is `x ≥ ⌊v⌋+1`);
+/// * an asserted disequality `e ≠ r` that the model violates gets the
+///   integer-valid lemma `(e = r) ∨ (e ≤ r−1) ∨ ¬(e ≤ r)` over fresh atoms;
+/// * otherwise the integral model is the answer.
+///
+/// Split atoms register with the encoder's atom cache and grow the engine
+/// in place, so later checks of the session reuse them. The search-work
+/// counters are plain fields (the callback is far too hot for the metric
+/// registry's mutex), flushed at conflict-chunk boundaries.
+struct TheoryBridge<'a> {
+    cfg: &'a SmtConfig,
+    /// The warm engine; `None` for a pure boolean query.
+    inc: &'a mut Option<Box<dyn TheorySolver>>,
+    use_dl: bool,
+    atoms: &'a mut HashMap<Atom, u32>,
+    atom_list: &'a mut Vec<Atom>,
+    lin_atoms: &'a mut Vec<LinearAtom>,
+    index: &'a BTreeMap<Symbol, usize>,
+    /// Theory variable index → symbol.
+    symbols: Vec<Symbol>,
+    /// The SAT variable of each registered atom, in theory-index order.
+    atom_vars: Vec<u32>,
+    /// Splits taken in this check, against [`MAX_SPLITS_PER_CHECK`].
+    splits: u64,
+    /// The asserted equalities of the last fractional final check, and
+    /// their reduction.
+    reduced: Option<(Vec<usize>, Equalities)>,
+    /// Why the search was given up, when the budget was not the reason.
+    error: Option<SmtError>,
+    /// The integral model the final check accepted.
+    model: Option<Vec<BigInt>>,
+    checks: u64,
+    conflicts: u64,
+    cert_lits: u64,
+    split_count: u64,
+    work_seen: u64,
+    work_flushed: u64,
+}
+
+impl TheoryBridge<'_> {
+    /// The theory callback: `Some(clause)` is a theory conflict or a split
+    /// lemma; fresh split atoms are allocated through `view`.
+    fn on_assignment(&mut self, view: &mut TheoryView<'_>) -> Option<Vec<Lit>> {
+        let cfg = self.cfg;
+        let inc = self.inc.as_deref_mut()?;
+        if poll_budget(&cfg.budget).is_err() {
+            view.give_up();
+            return None;
+        }
+        let complete = view.is_complete();
+        let dl_span = self.use_dl.then(|| cfg.budget.tracer().span(Stage::Dl));
+        for (i, &v) in self.atom_vars.iter().enumerate() {
+            match view.assignment()[v as usize] {
+                Some(b) => inc.assert_atom(i, b),
+                None => inc.retract_atom(i),
+            }
+        }
+        let cap = if complete { u64::MAX } else { THEORY_PIVOT_CAP };
+        let verdict = inc.check(cap, &mut || poll_budget(&cfg.budget).is_ok());
+        self.checks += 1;
+        self.work_seen = inc.search_work();
+        drop(dl_span);
+        match verdict {
+            // Only the budget stops an uncapped check.
+            None if complete => {
+                view.give_up();
+                None
+            }
+            // The eager check gave up at the pivot cap: no conflict known.
+            None | Some(Ok(())) if !complete => None,
+            Some(Err(core)) => {
+                let clause: Vec<Lit> = core
+                    .iter()
+                    .map(|&i| {
+                        let pol = inc.polarity(i).expect("core atoms are asserted");
+                        Lit::new(self.atom_vars[i], pol)
+                    })
+                    .collect();
+                self.conflicts += 1;
+                self.cert_lits += clause.len() as u64;
+                Some(clause)
+            }
+            _ => self.final_check(view),
+        }
+    }
+
+    /// The integer part of the final check on a rationally consistent,
+    /// complete assignment.
+    fn final_check(&mut self, view: &mut TheoryView<'_>) -> Option<Vec<Lit>> {
+        let _ = self.cfg.budget.charge_fuel(1);
+        let values = self.inc.as_deref().expect("only engines check").model();
+        if let Some(var) = values.iter().position(|v| !v.is_integer()) {
+            // Reduce the asserted equalities: the GCD test may refute them,
+            // and otherwise the integer point nearest the rational one may
+            // satisfy every asserted atom already.
+            self.reduce_equalities();
+            let (eqs, reduced) = self.reduced.as_ref().expect("just reduced");
+            match reduced {
+                Equalities::Infeasible => {
+                    let clause: Vec<Lit> =
+                        eqs.iter().map(|&i| Lit::neg(self.atom_vars[i])).collect();
+                    self.conflicts += 1;
+                    self.cert_lits += clause.len() as u64;
+                    return Some(clause);
+                }
+                Equalities::Solved(p) => {
+                    let point = p.point_near(&values);
+                    if self.satisfies_asserted(&point) {
+                        self.model = Some(point);
+                        return None;
+                    }
+                }
+                Equalities::Unknown => {}
+            }
+            if !self.take_split(view) {
+                return None;
+            }
+            let Some(k) = values[var].floor().to_i64() else {
+                return self.fail(view, "split bound out of range");
+            };
+            let atom = Atom {
+                coeffs: vec![(self.symbols[var], 1)],
+                is_eq: false,
+                rhs: k,
+            };
+            if self.atoms.contains_key(&atom) {
+                // The bound is already decided, so the model obeys it.
+                return self.fail(view, "repeated branch atom");
+            }
+            // Try the nearer side first.
+            let down = &values[var] - &Rat::from(k) <= Rat::new(BigInt::one(), BigInt::from(2));
+            self.atom_lit(view, atom, down);
+            return None;
+        }
+        let inc = self.inc.as_deref().expect("only engines check");
+        let violated = (0..self.lin_atoms.len()).find(|&i| {
+            let (coeffs, is_eq, rhs) = &self.lin_atoms[i];
+            *is_eq
+                && inc.polarity(i) == Some(false)
+                && coeffs.iter().fold(Rat::zero(), |sum, &(v, c)| {
+                    &sum + &(&Rat::from(c) * &values[v])
+                }) == Rat::from(*rhs)
+        });
+        if let Some(i) = violated {
+            if !self.take_split(view) {
+                return None;
+            }
+            let Atom { coeffs, rhs, .. } = self.atom_list[i].clone();
+            let Some(below) = rhs.checked_sub(1) else {
+                return self.fail(view, "split bound out of range");
+            };
+            let lt = Atom {
+                coeffs: coeffs.clone(),
+                is_eq: false,
+                rhs: below,
+            };
+            let le = Atom {
+                coeffs,
+                is_eq: false,
+                rhs,
+            };
+            let lt = self.atom_lit(view, lt, true);
+            let le = self.atom_lit(view, le, true);
+            return Some(vec![Lit::pos(self.atom_vars[i]), lt, le.negate()]);
+        }
+        self.model = Some(values.iter().map(Rat::floor).collect());
+        None
+    }
+
+    /// Counts one split; past [`MAX_SPLITS_PER_CHECK`] gives the search up.
+    fn take_split(&mut self, view: &mut TheoryView<'_>) -> bool {
+        self.splits += 1;
+        if self.splits > MAX_SPLITS_PER_CHECK {
+            self.fail(view, "theory splits");
+            return false;
+        }
+        self.split_count += 1;
+        true
+    }
+
+    /// Gives the search up with a resource-limit error.
+    fn fail(&mut self, view: &mut TheoryView<'_>, why: &'static str) -> Option<Vec<Lit>> {
+        self.error = Some(SmtError::ResourceLimit(why));
+        view.give_up();
+        None
+    }
+
+    /// Caches the asserted equalities (atom indices) with their reduction,
+    /// so a run of branches over the same equalities reduces them once.
+    fn reduce_equalities(&mut self) {
+        let inc = self.inc.as_deref().expect("only engines check");
+        let eqs: Vec<usize> = (0..self.lin_atoms.len())
+            .filter(|&i| self.lin_atoms[i].1 && inc.polarity(i) == Some(true))
+            .collect();
+        if self
+            .reduced
+            .as_ref()
+            .is_none_or(|(cached, _)| *cached != eqs)
+        {
+            let system: Vec<&LinearAtom> = eqs.iter().map(|&i| &self.lin_atoms[i]).collect();
+            let reduced = solve_equalities(&system, inc.num_vars());
+            self.reduced = Some((eqs, reduced));
+        }
+    }
+
+    /// Whether the integer `point` satisfies every asserted atom.
+    fn satisfies_asserted(&self, point: &[BigInt]) -> bool {
+        let inc = self.inc.as_deref().expect("only engines check");
+        self.lin_atoms
+            .iter()
+            .enumerate()
+            .all(|(i, (coeffs, is_eq, rhs))| {
+                let Some(polarity) = inc.polarity(i) else {
+                    return true;
+                };
+                let sum = coeffs.iter().fold(BigInt::zero(), |sum, &(v, c)| {
+                    &sum + &(&BigInt::from(c) * &point[v])
+                });
+                let rhs = BigInt::from(*rhs);
+                match (is_eq, polarity) {
+                    (true, true) => sum == rhs,
+                    (true, false) => sum != rhs,
+                    (false, true) => sum <= rhs,
+                    (false, false) => sum > rhs,
+                }
+            })
+    }
+
+    /// The literal of `atom`, registering it as a fresh split atom when it
+    /// is new: a SAT variable whose first decision takes `phase`, an entry
+    /// in the encoder's atom cache, and an atom of the engine.
+    fn atom_lit(&mut self, view: &mut TheoryView<'_>, atom: Atom, phase: bool) -> Lit {
+        if let Some(&v) = self.atoms.get(&atom) {
+            return Lit::pos(v);
+        }
+        let lin: LinearAtom = (
+            atom.coeffs
+                .iter()
+                .map(|&(s, c)| (self.index[&s], c))
+                .collect(),
+            atom.is_eq,
+            atom.rhs,
+        );
+        let inc = self.inc.as_deref_mut().expect("only engines split");
+        // A split atom shares its linear form with a registered atom, or
+        // bounds a variable of a simplex (fractional) model: every engine
+        // accepts it.
+        let idx = inc.add_atom(&lin).expect("split atoms fit the engine");
+        debug_assert_eq!(idx, self.lin_atoms.len());
+        let v = view.new_var(phase);
+        self.atoms.insert(atom.clone(), v);
+        self.atom_list.push(atom);
+        self.lin_atoms.push(lin);
+        self.atom_vars.push(v);
+        Lit::pos(v)
+    }
+
+    /// Flushes the theory counters to `search.*` metrics and the
+    /// watchdog's conflict count.
+    fn flush(&mut self, tracer: &Tracer) {
+        let m = tracer.metrics();
+        for (name, value) in [
+            (
+                "search.theory_checks_total",
+                std::mem::take(&mut self.checks),
+            ),
+            ("search.theory_conflicts_total", self.conflicts),
+            (
+                "search.theory_cert_lits_total",
+                std::mem::take(&mut self.cert_lits),
+            ),
+            (
+                "search.theory_splits_total",
+                std::mem::take(&mut self.split_count),
+            ),
+        ] {
+            if value > 0 {
+                m.add(name, value);
+            }
+        }
+        tracer
+            .progress()
+            .note_smt_conflicts(std::mem::take(&mut self.conflicts));
+        let delta = self.work_seen - self.work_flushed;
+        self.work_flushed = self.work_seen;
+        if delta > 0 {
+            let name = if self.use_dl {
+                "search.dl_relaxations_total"
+            } else {
+                "search.simplex_pivots_total"
+            };
+            m.add(name, delta);
         }
     }
 }
@@ -754,10 +884,10 @@ mod tests {
     /// on a fresh session under [`TheorySelect::Auto`].
     fn dispatch_counters(script: impl FnOnce(&mut SmtSession)) -> [u64; 3] {
         let tracer = sygus_ast::Tracer::metrics_only();
-        let cfg = SmtConfig::builder()
-            .budget(crate::Budget::unlimited().with_tracer(tracer.clone()))
-            .theory(TheorySelect::Auto)
-            .build();
+        let cfg = SmtConfig {
+            budget: crate::Budget::unlimited().with_tracer(tracer.clone()),
+            theory: TheorySelect::Auto,
+        };
         script(&mut SmtSession::new(cfg));
         let m = tracer.metrics();
         ["theory.dl_dispatched", "theory.dl_fallbacks", "theory.dl_migrations"]
@@ -791,6 +921,92 @@ mod tests {
             assert!(matches!(s.check_sat().unwrap(), SmtResult::Sat(_)));
         });
         assert_eq!(grown, [1, 2, 1]);
+    }
+
+    /// `x ∉ {1, 2, 3} ∧ 1 ≤ x ≤ 3` is unsat only through disequality
+    /// splits. Every clause the theory adds — static lemmas, eager
+    /// conflicts, split lemmas — speaks only about atoms and is traced as a
+    /// theory lemma, never as an input, and the refutation replays.
+    #[test]
+    fn theory_clauses_are_logged_as_theory_lemmas() {
+        let tracer = sygus_ast::Tracer::metrics_only();
+        let mut s = SmtSession::new(SmtConfig {
+            budget: crate::Budget::unlimited().with_tracer(tracer.clone()),
+            ..SmtConfig::default()
+        });
+        let diseq = |k: i64| Term::not(Term::eq(x(), Term::int(k)));
+        s.assert_term(&Term::and([
+            diseq(1),
+            diseq(2),
+            diseq(3),
+            Term::ge(x(), Term::int(1)),
+            Term::le(x(), Term::int(3)),
+        ]))
+        .unwrap();
+        assert_eq!(s.check_sat().unwrap(), SmtResult::Unsat);
+        assert!(tracer.metrics().counter("search.theory_splits_total") > 0);
+        let atom_vars: HashSet<u32> = s.enc.atoms.values().copied().collect();
+        let theory_only = |c: &[Lit]| c.iter().all(|l| atom_vars.contains(&l.var()));
+        let steps = s.enc.sat.proof_steps();
+        let lemmas: Vec<&Vec<Lit>> = steps
+            .iter()
+            .filter_map(|st| match st {
+                ProofStep::TheoryLemma(c) => Some(c),
+                _ => None,
+            })
+            .collect();
+        assert!(!lemmas.is_empty());
+        assert!(lemmas.iter().all(|c| theory_only(c)), "{lemmas:?}");
+        assert!(
+            !steps
+                .iter()
+                .any(|st| matches!(st, ProofStep::Input(c) if theory_only(c))),
+            "a theory clause entered the trace as an input"
+        );
+        let stats = crate::drat::check_refutation(steps).expect("refutation replays");
+        assert_eq!(stats.theory_lemmas, lemmas.len());
+    }
+
+    /// The watchdog's `conflicts=` field counts every conflict the search
+    /// drains: CDCL conflicts plus theory conflicts.
+    #[test]
+    fn watchdog_counts_cdcl_and_theory_conflicts() {
+        let tracer = sygus_ast::Tracer::metrics_only();
+        let mut s = SmtSession::new(SmtConfig {
+            budget: crate::Budget::unlimited().with_tracer(tracer.clone()),
+            ..SmtConfig::default()
+        });
+        // Four pigeons in three holes (CDCL conflicts), each pigeon's hole
+        // also fixing an integer that must stay below 2 (theory conflicts).
+        let hole = |p: usize, h: usize| Term::var(format!("ph{p}_{h}").as_str(), Sort::Bool);
+        let mut parts = Vec::new();
+        for p in 0..4 {
+            parts.push(Term::or((0..3).map(|h| hole(p, h))));
+            for h in 0..3 {
+                let at = Term::int_var(format!("pos{p}").as_str());
+                parts.push(Term::implies(hole(p, h), Term::eq(at, Term::int(h as i64))));
+            }
+        }
+        for h in 0..3 {
+            for p in 0..4 {
+                for q in p + 1..4 {
+                    parts.push(Term::not(Term::and([hole(p, h), hole(q, h)])));
+                }
+            }
+        }
+        for p in 0..4 {
+            parts.push(Term::le(
+                Term::int_var(format!("pos{p}").as_str()),
+                Term::int(1),
+            ));
+        }
+        s.assert_term(&Term::and(parts)).unwrap();
+        assert_eq!(s.check_sat().unwrap(), SmtResult::Unsat);
+        let m = tracer.metrics();
+        let cdcl = m.counter("search.conflicts_total");
+        let theory = m.counter("search.theory_conflicts_total");
+        assert!(cdcl > 0, "the pigeonhole needs CDCL conflicts");
+        assert_eq!(tracer.progress().snapshot().smt_conflicts, cdcl + theory);
     }
 
     #[test]

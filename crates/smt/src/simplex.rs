@@ -143,6 +143,31 @@ impl Simplex {
         s
     }
 
+    /// Moves every nonbasic variable to the point of its bounds nearest
+    /// zero and recomputes the basic ones, keeping basis and bounds: the
+    /// next check repairs the assignment from there, as a fresh tableau
+    /// would from the origin, instead of from wherever earlier checks left
+    /// it.
+    pub(crate) fn reset_assignment(&mut self) {
+        for st in self.vars.iter_mut().filter(|st| st.row.is_none()) {
+            st.value = match (&st.lower, &st.upper) {
+                (Some(l), _) if l.is_positive() => l.clone(),
+                (_, Some(u)) if u.is_negative() => u.clone(),
+                _ => Rat::zero(),
+            };
+        }
+        for ri in 0..self.rows.len() {
+            let value = self.rows[ri]
+                .coeffs
+                .iter()
+                .fold(Rat::zero(), |sum, (k, c)| {
+                    &sum + &(c * &self.vars[*k].value)
+                });
+            let basic = self.rows[ri].basic;
+            self.vars[basic].value = value;
+        }
+    }
+
     /// The current assignment of a variable.
     pub fn value(&self, v: usize) -> &Rat {
         &self.vars[v].value

@@ -3,48 +3,29 @@
 //!
 //! Pipeline: integer `ite`s are purified out of atoms with fresh variables,
 //! the boolean skeleton is Tseitin-encoded with comparison atoms mapped to
-//! SAT variables, and each propositional model's asserted theory literals
-//! are checked by [`check_lia`](crate::check_lia); theory conflicts come back
-//! as (greedily minimized) blocking clauses. [`SmtSolver`] answers one
+//! SAT variables, and the session's incremental theory engine checks the
+//! asserted atoms during search — eagerly on partial assignments, and with
+//! integer splits on demand on complete ones. [`SmtSolver`] answers one
 //! formula at a time by running it through a fresh session.
 
 use crate::theory::TheorySelect;
-use crate::{check_lia_polled, BigInt, LiaResult, LinCon, Lit, Rel, SatSolver, SmtSession};
+use crate::{BigInt, Lit, SatSolver, SmtSession};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use sygus_ast::runtime::{Budget, BudgetError};
 use sygus_ast::{Env, LinearExpr, Op, Sort, Symbol, Term, TermNode, Value};
 
-/// Maximum depth of lazy disequality splitting per theory check.
-const MAX_DISEQ_SPLIT: usize = 32;
-
-/// Configuration for [`SmtSolver`].
-///
-/// Construct through [`SmtConfig::builder`] (or struct-update from
-/// `SmtConfig::default()`). Direct exhaustive struct-literal construction
-/// is **deprecated** as an API pattern: every new knob (most recently
-/// [`theory`](SmtConfig::theory)) is a breaking change for such callers,
-/// while builder and struct-update callers pick up defaults silently.
+/// Configuration for [`SmtSolver`] and [`SmtSession`]. Construct by
+/// struct update from `SmtConfig::default()`.
 #[derive(Clone, Debug)]
 pub struct SmtConfig {
     /// Shared resource governor: deadline, cancellation, and fuel. Queries
     /// past the deadline (or on a cancelled budget) fail with
     /// [`SmtError::Timeout`]; an exhausted fuel/memory allowance fails with
     /// [`SmtError::ResourceLimit`]. The budget also accumulates the query
-    /// and retry-ladder telemetry surfaced by `--stats`.
+    /// telemetry surfaced by `--stats`.
     pub budget: Budget,
-    /// Branch-and-bound node budget per theory check — the base rung of the
-    /// retry ladder.
-    pub lia_budget: u64,
-    /// Maximum lazy-loop iterations (theory conflict rounds) — the base
-    /// rung of the retry ladder.
-    pub max_theory_rounds: u64,
-    /// How many geometric retry-ladder escalations to take on
-    /// [`SmtError::ResourceLimit`] before reporting it (each rung multiplies
-    /// `lia_budget` and `max_theory_rounds` by 4). Escalation stops early
-    /// when the budget itself is exhausted.
-    pub retry_escalations: u32,
-    /// Which theory engine serves the eager DPLL(T) partial checks:
+    /// Which theory engine serves the DPLL(T) checks:
     /// [`TheorySelect::Auto`] dispatches queries whose atoms all fit the
     /// difference-logic fragment to the specialized constraint-graph engine
     /// and everything else to the warm simplex. `Default` reads the
@@ -57,60 +38,8 @@ impl Default for SmtConfig {
     fn default() -> SmtConfig {
         SmtConfig {
             budget: Budget::unlimited(),
-            lia_budget: 12_000,
-            max_theory_rounds: 100_000,
-            retry_escalations: 2,
             theory: crate::process_default_theory(),
         }
-    }
-}
-
-impl SmtConfig {
-    /// Starts a builder over the default configuration, so new knobs can be
-    /// added without widening positional constructors:
-    /// `SmtConfig::builder().retry_ladder(12_000, 100_000, 2).build()`.
-    pub fn builder() -> SmtConfigBuilder {
-        SmtConfigBuilder {
-            cfg: SmtConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`SmtConfig`]; obtained from [`SmtConfig::builder`].
-#[derive(Clone, Debug)]
-pub struct SmtConfigBuilder {
-    cfg: SmtConfig,
-}
-
-impl SmtConfigBuilder {
-    /// Sets the resource governor.
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.cfg.budget = budget;
-        self
-    }
-
-    /// Configures the whole retry ladder in one call: the base
-    /// branch-and-bound node budget, the base theory-round cap, and how
-    /// many geometric escalations to take on resource exhaustion.
-    pub fn retry_ladder(mut self, lia_budget: u64, max_theory_rounds: u64, escalations: u32) -> Self {
-        self.cfg.lia_budget = lia_budget;
-        self.cfg.max_theory_rounds = max_theory_rounds;
-        self.cfg.retry_escalations = escalations;
-        self
-    }
-
-    /// Sets the theory-engine selection for eager partial checks. Tests
-    /// that need a specific engine must use this rather than
-    /// [`crate::set_process_default_theory`] (the process default is shared
-    /// across threads).
-    pub fn theory(mut self, sel: TheorySelect) -> Self {
-        self.cfg.theory = sel;
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> SmtConfig {
-        self.cfg
     }
 }
 
@@ -121,7 +50,8 @@ pub enum SmtError {
     /// The formula uses features outside QF_LIA (e.g. uninstantiated
     /// function applications or nonlinear multiplication).
     Unsupported(String),
-    /// A budget (LIA nodes, theory rounds, disequality splits) ran out.
+    /// A budget ran out: the fuel or memory allowance, or the cap on
+    /// integer splits per check.
     ResourceLimit(&'static str),
     /// The configured deadline passed.
     Timeout,
@@ -255,38 +185,6 @@ pub(crate) struct Atom {
     pub(crate) coeffs: Vec<(Symbol, i64)>,
     pub(crate) is_eq: bool,
     pub(crate) rhs: i64,
-}
-
-impl Atom {
-    /// Positive occurrence as a [`LinCon`] over the given variable indexing.
-    fn to_lincon(&self, index: &BTreeMap<Symbol, usize>) -> LinCon {
-        LinCon {
-            coeffs: self
-                .coeffs
-                .iter()
-                .map(|&(s, c)| (index[&s], BigInt::from(c)))
-                .collect(),
-            rel: if self.is_eq { Rel::Eq } else { Rel::Le },
-            rhs: BigInt::from(self.rhs),
-        }
-    }
-
-    /// Negated occurrence: `¬(e ≤ r)` is `e ≥ r+1`; `¬(e = r)` has no single
-    /// constraint (handled by disequality splitting), signalled by `None`.
-    fn negated_lincon(&self, index: &BTreeMap<Symbol, usize>) -> Option<LinCon> {
-        if self.is_eq {
-            return None;
-        }
-        Some(LinCon {
-            coeffs: self
-                .coeffs
-                .iter()
-                .map(|&(s, c)| (index[&s], BigInt::from(c)))
-                .collect(),
-            rel: Rel::Ge,
-            rhs: &BigInt::from(self.rhs) + &BigInt::one(),
-        })
-    }
 }
 
 /// Converts a comparison term into a canonical [`Atom`].
@@ -663,9 +561,9 @@ impl Encoder {
 /// pairs) makes re-runs incremental: a session calls this after each
 /// assertion and only genuinely new lemmas reach the SAT core.
 pub(crate) fn add_static_lemmas(enc: &mut Encoder, seen: &mut std::collections::HashSet<(Lit, Lit)>) {
-    use std::collections::HashMap as Map;
-    // Group atoms by coefficient vector.
-    let mut groups: Map<Vec<(Symbol, i64)>, Vec<usize>> = Map::new();
+    // Group atoms by coefficient vector, in a fixed order: the order the
+    // lemmas reach the SAT core shows in its work counters.
+    let mut groups: BTreeMap<Vec<(Symbol, i64)>, Vec<usize>> = BTreeMap::new();
     for (i, atom) in enc.atom_list.iter().enumerate() {
         groups.entry(atom.coeffs.clone()).or_default().push(i);
     }
@@ -738,130 +636,8 @@ pub(crate) fn add_static_lemmas(enc: &mut Encoder, seen: &mut std::collections::
         debug_assert_eq!(c.len(), 2, "static lemmas are binary");
         let key = (c[0].min(c[1]), c[0].max(c[1]));
         if seen.insert(key) {
-            enc.sat.add_clause(c);
+            enc.sat.add_theory_lemma(c);
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Theory checking
-// ---------------------------------------------------------------------------
-
-/// Outcome of checking a conjunction of theory literals.
-pub(crate) enum TheoryOutcome {
-    Sat(Vec<BigInt>),
-    Unsat,
-}
-
-pub(crate) struct TheoryChecker<'a> {
-    pub(crate) index: BTreeMap<Symbol, usize>,
-    pub(crate) cfg: &'a SmtConfig,
-    /// Branch-and-bound node budget (smaller during core minimization:
-    /// dropping a constraint can make the integer problem vastly harder,
-    /// and an Unknown there just means "keep the literal").
-    pub(crate) lia_budget: u64,
-}
-
-impl TheoryChecker<'_> {
-    /// Checks the conjunction of `(atom, polarity)` literals.
-    pub(crate) fn check(&self, lits: &[(&Atom, bool)]) -> Result<TheoryOutcome, SmtError> {
-        let mut base: Vec<LinCon> = Vec::new();
-        let mut diseqs: Vec<&Atom> = Vec::new();
-        for &(atom, polarity) in lits {
-            if polarity {
-                base.push(atom.to_lincon(&self.index));
-            } else {
-                match atom.negated_lincon(&self.index) {
-                    Some(c) => base.push(c),
-                    None => diseqs.push(atom),
-                }
-            }
-        }
-        self.split(&mut base, &diseqs)
-    }
-
-    /// Lazy disequality handling: solve the base system and branch only on
-    /// disequalities the model actually violates, so a large set of mostly
-    /// slack disequalities costs nothing.
-    fn split(&self, base: &mut Vec<LinCon>, diseqs: &[&Atom]) -> Result<TheoryOutcome, SmtError> {
-        self.split_depth(base, diseqs, 0)
-    }
-
-    fn split_depth(
-        &self,
-        base: &mut Vec<LinCon>,
-        diseqs: &[&Atom],
-        depth: usize,
-    ) -> Result<TheoryOutcome, SmtError> {
-        if depth > MAX_DISEQ_SPLIT {
-            return Err(SmtError::ResourceLimit("disequality splits"));
-        }
-        let mut poll = || poll_budget(&self.cfg.budget).is_ok();
-        let m = match check_lia_polled(self.index.len(), base, self.lia_budget, &mut poll) {
-            LiaResult::Sat(m) => m,
-            LiaResult::Unsat => return Ok(TheoryOutcome::Unsat),
-            LiaResult::Unknown => {
-                // Branch-and-bound can wander on unbounded systems whose
-                // integer solutions are nevertheless small. Retry inside a
-                // generous box: a Sat answer there is still exact; only the
-                // boxed-Unsat case stays inconclusive.
-                let mut boxed = base.clone();
-                for v in 0..self.index.len() {
-                    boxed.push(LinCon {
-                        coeffs: vec![(v, BigInt::from(1))],
-                        rel: Rel::Le,
-                        rhs: BigInt::from(1_000_000_000i64),
-                    });
-                    boxed.push(LinCon {
-                        coeffs: vec![(v, BigInt::from(1))],
-                        rel: Rel::Ge,
-                        rhs: BigInt::from(-1_000_000_000i64),
-                    });
-                }
-                match check_lia_polled(self.index.len(), &boxed, self.lia_budget, &mut poll) {
-                    LiaResult::Sat(m) => m,
-                    _ => return Err(SmtError::ResourceLimit("lia nodes")),
-                }
-            }
-        };
-        // Find a disequality violated by this model (its linear form equals
-        // the forbidden value).
-        let violated = diseqs.iter().find(|d| {
-            let mut sum = BigInt::zero();
-            for &(s, c) in &d.coeffs {
-                sum += &(&BigInt::from(c) * &m[self.index[&s]]);
-            }
-            sum == BigInt::from(d.rhs)
-        });
-        let Some(d) = violated else {
-            return Ok(TheoryOutcome::Sat(m));
-        };
-        // e ≠ rhs  ⇒  e ≤ rhs-1  ∨  e ≥ rhs+1
-        let coeffs: Vec<(usize, BigInt)> = d
-            .coeffs
-            .iter()
-            .map(|&(s, c)| (self.index[&s], BigInt::from(c)))
-            .collect();
-        let lo = LinCon {
-            coeffs: coeffs.clone(),
-            rel: Rel::Le,
-            rhs: &BigInt::from(d.rhs) - &BigInt::one(),
-        };
-        let hi = LinCon {
-            coeffs,
-            rel: Rel::Ge,
-            rhs: &BigInt::from(d.rhs) + &BigInt::one(),
-        };
-        base.push(lo);
-        if let TheoryOutcome::Sat(m) = self.split_depth(base, diseqs, depth + 1)? {
-            base.pop();
-            return Ok(TheoryOutcome::Sat(m));
-        }
-        base.pop();
-        base.push(hi);
-        let r = self.split_depth(base, diseqs, depth + 1);
-        base.pop();
-        r
     }
 }
 
@@ -886,7 +662,7 @@ impl SmtSolver {
     }
 
     /// Checks satisfiability of a quantifier-free CLIA formula: asserts it
-    /// in a fresh [`SmtSession`] and checks once, so answers, retry ladder,
+    /// in a fresh [`SmtSession`] and checks once, so answers,
     /// certification, and metrics are exactly the session's
     /// ([`SmtSession::check_sat`]). Constant formulas are answered without a
     /// session.
@@ -1171,6 +947,7 @@ mod tests {
     fn empty_int_interval() {
         let f = Term::and([Term::gt(x(), Term::int(3)), Term::lt(x(), Term::int(4))]);
         expect_unsat(&f);
+        expect_unsat(&branching_unsat_formula());
     }
 
     #[test]
@@ -1348,9 +1125,8 @@ mod tests {
     }
 
     /// `x = y ∧ 2x + 3y ∈ [6, 7]`: rationally feasible (`x = y = 1.3`) so
-    /// the incremental LRA never objects, but integrally unsat — after
-    /// equality elimination `5y ∈ [6, 7]` needs a root plus two
-    /// branch-and-bound children (~3 nodes) to refute.
+    /// the eager simplex check never objects, but integrally unsat — the
+    /// final check must branch (`x ≤ 1 ∨ x ≥ 2`) to refute it.
     fn branching_unsat_formula() -> Term {
         let lhs = Term::add(Term::scale(2, x()), Term::scale(3, y()));
         Term::and([
@@ -1359,45 +1135,6 @@ mod tests {
             Term::ge(lhs.clone(), Term::int(6)),
             Term::le(lhs, Term::int(7)),
         ])
-    }
-
-    #[test]
-    fn retry_ladder_escalates_and_recovers() {
-        // A 1-node LIA budget cannot refute the branching formula; the
-        // ladder must escalate past it and record the escalations on the
-        // budget's telemetry.
-        let budget = Budget::unlimited();
-        let s = SmtSolver::with_config(SmtConfig {
-            budget: budget.clone(),
-            lia_budget: 1,
-            retry_escalations: 4,
-            ..SmtConfig::default()
-        });
-        assert_eq!(
-            s.check(&branching_unsat_formula())
-                .expect("ladder reaches a verdict"),
-            SmtResult::Unsat
-        );
-        assert!(
-            budget.smt_retries() >= 1,
-            "expected at least one recorded escalation, got {}",
-            budget.smt_retries()
-        );
-        assert_eq!(budget.smt_queries(), 1);
-    }
-
-    #[test]
-    fn retry_ladder_stops_when_out_of_escalations() {
-        // With zero allowed escalations the first ResourceLimit surfaces.
-        let s = SmtSolver::with_config(SmtConfig {
-            lia_budget: 1,
-            retry_escalations: 0,
-            ..SmtConfig::default()
-        });
-        assert!(matches!(
-            s.check(&branching_unsat_formula()),
-            Err(SmtError::ResourceLimit(_))
-        ));
     }
 
     #[test]

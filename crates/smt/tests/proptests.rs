@@ -1,11 +1,9 @@
 //! Property-based tests: arithmetic laws against `i128` references,
-//! SAT-solver agreement with brute force, LIA agreement with box
+//! SAT-solver agreement with brute force, integer conjunctions against box
 //! enumeration, and model soundness of the full SMT pipeline.
 
 use proptest::prelude::*;
-use smtkit::{
-    check_lia, BigInt, LiaResult, LinCon, Lit, Rat, Rel, SatResult, SatSolver, SmtResult, SmtSolver,
-};
+use smtkit::{BigInt, Lit, Rat, SatResult, SatSolver, SmtResult, SmtSolver};
 use sygus_ast::{Definitions, Env, Symbol, Term, Value};
 
 // ---------------------------------------------------------------------------
@@ -200,22 +198,46 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// LIA vs box enumeration
+// Integer conjunctions vs box enumeration
 // ---------------------------------------------------------------------------
+
+/// A linear constraint `c₀·x₀ + c₁·x₁ ⋈ rhs` with `⋈` one of `≤`, `≥`,
+/// `=` (0, 1, 2).
+type LinCon = (Vec<i64>, u8, i64);
 
 fn lincon_strategy(nvars: usize) -> impl Strategy<Value = LinCon> {
     (
-        proptest::collection::vec((-3i64..=3).prop_map(|c| c), nvars),
-        prop_oneof![Just(Rel::Le), Just(Rel::Ge), Just(Rel::Eq)],
+        proptest::collection::vec(-3i64..=3, nvars),
+        0u8..3,
         -6i64..=6,
     )
-        .prop_map(move |(coeffs, rel, rhs)| {
-            LinCon::new(
-                &coeffs.into_iter().enumerate().collect::<Vec<_>>(),
-                rel,
-                rhs,
-            )
-        })
+}
+
+fn lin_var(v: usize) -> Term {
+    Term::int_var(format!("q{v}").as_str())
+}
+
+fn lincon_term((coeffs, rel, rhs): &LinCon) -> Term {
+    let lhs = coeffs
+        .iter()
+        .enumerate()
+        .fold(Term::int(0), |sum, (v, &c)| {
+            Term::add(sum, Term::scale(c, lin_var(v)))
+        });
+    match rel {
+        0 => Term::le(lhs, Term::int(*rhs)),
+        1 => Term::ge(lhs, Term::int(*rhs)),
+        _ => Term::eq(lhs, Term::int(*rhs)),
+    }
+}
+
+fn lincon_holds((coeffs, rel, rhs): &LinCon, point: &[i64]) -> bool {
+    let sum: i64 = coeffs.iter().zip(point).map(|(c, x)| c * x).sum();
+    match rel {
+        0 => sum <= *rhs,
+        1 => sum >= *rhs,
+        _ => sum == *rhs,
+    }
 }
 
 proptest! {
@@ -225,31 +247,39 @@ proptest! {
         cons in proptest::collection::vec(lincon_strategy(2), 1..6),
     ) {
         // Brute force over the box [-8, 8]^2; restrict the solver to the
-        // same box so the answers are comparable.
-        let mut boxed = cons.clone();
+        // same box so the answers are comparable. The conjunction goes
+        // through the whole DPLL(T) loop, so integer-only infeasibility is
+        // decided by its splits.
+        let mut boxed: Vec<Term> = cons.iter().map(lincon_term).collect();
         for v in 0..2 {
-            boxed.push(LinCon::new(&[(v, 1)], Rel::Ge, -8));
-            boxed.push(LinCon::new(&[(v, 1)], Rel::Le, 8));
+            boxed.push(Term::ge(lin_var(v), Term::int(-8)));
+            boxed.push(Term::le(lin_var(v), Term::int(8)));
         }
         let mut brute_sat = false;
         'outer: for x in -8i64..=8 {
             for y in -8i64..=8 {
-                let point = [BigInt::from(x), BigInt::from(y)];
-                if cons.iter().all(|c| c.holds_on(&point)) {
+                if cons.iter().all(|c| lincon_holds(c, &[x, y])) {
                     brute_sat = true;
                     break 'outer;
                 }
             }
         }
-        match check_lia(2, &boxed, 200_000) {
-            LiaResult::Sat(m) => {
+        match SmtSolver::new().check(&Term::and(boxed)) {
+            Ok(SmtResult::Sat(m)) => {
                 prop_assert!(brute_sat, "solver sat but box has no solution");
-                for c in &boxed {
-                    prop_assert!(c.holds_on(&m), "model violates {c}");
+                let point: Vec<i64> = (0..2)
+                    .map(|v| {
+                        let s = lin_var(v).as_var().expect("variable");
+                        m.int(s).to_i64().expect("boxed model fits i64")
+                    })
+                    .collect();
+                prop_assert!((-8..=8).contains(&point[0]) && (-8..=8).contains(&point[1]));
+                for c in &cons {
+                    prop_assert!(lincon_holds(c, &point), "model violates {:?}", c);
                 }
             }
-            LiaResult::Unsat => prop_assert!(!brute_sat, "solver unsat but box has a solution"),
-            LiaResult::Unknown => prop_assert!(false, "budget must suffice for this size"),
+            Ok(SmtResult::Unsat) => prop_assert!(!brute_sat, "solver unsat but box has a solution"),
+            Err(e) => prop_assert!(false, "no answer on a boxed conjunction: {}", e),
         }
     }
 }
@@ -605,7 +635,9 @@ proptest! {
                         // Exact model check: every active atom holds under
                         // the integral model (diseqs excepted — the partial
                         // check does not enforce them).
-                        let model = dl.model();
+                        let model = TheorySolver::model(&dl);
+                        prop_assert!(model.iter().all(Rat::is_integer), "{:?}", model);
+                        let model: Vec<BigInt> = model.iter().map(Rat::floor).collect();
                         for (i, atom) in atoms.iter().enumerate() {
                             match TheorySolver::polarity(&dl, i) {
                                 Some(false) if atom.1 => {}
@@ -669,10 +701,14 @@ proptest! {
     fn solver_theory_dl_matches_simplex(f in dl_formula_strategy()) {
         use smtkit::{SmtConfig, TheorySelect};
 
-        let dl = SmtSolver::with_config(SmtConfig::builder().theory(TheorySelect::Auto).build());
-        let simplex = SmtSolver::with_config(
-            SmtConfig::builder().theory(TheorySelect::Simplex).build(),
-        );
+        let dl = SmtSolver::with_config(SmtConfig {
+            theory: TheorySelect::Auto,
+            ..SmtConfig::default()
+        });
+        let simplex = SmtSolver::with_config(SmtConfig {
+            theory: TheorySelect::Simplex,
+            ..SmtConfig::default()
+        });
         let a = dl.check(&f).expect("auto-dispatched solver");
         let b = simplex.check(&f).expect("simplex-pinned solver");
         prop_assert_eq!(
