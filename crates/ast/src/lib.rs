@@ -71,7 +71,7 @@ pub use runtime::{Budget, BudgetError};
 pub use simplify::{conjuncts, disjuncts, nnf, simplify};
 pub use sort::{Sort, SortError};
 pub use symbol::{interner_stats, InternerStats, Symbol};
-pub use term::{Definitions, EvalError, FuncDef, Term, TermNode};
+pub use term::{eval_app, Definitions, EvalError, FuncDef, Term, TermNode};
 pub use trace::{
     EventRing, GraphEvent, MetricsRegistry, MetricsSnapshot, Record, RestartEpisode,
     SearchRecord, Stage, StageSnapshot, Stamp, Tracer,

@@ -854,90 +854,137 @@ impl Term {
             TermNode::IntConst(n) => Ok(Value::Int(*n)),
             TermNode::BoolConst(b) => Ok(Value::Bool(*b)),
             TermNode::Var(s, _) => env.lookup(*s).ok_or(EvalError::UnboundVar(*s)),
-            TermNode::App(op, args) => {
-                let int = |t: &Term| -> Result<i64, EvalError> {
-                    t.eval(env, defs)?.as_int().ok_or(EvalError::SortMismatch)
-                };
-                let boolean = |t: &Term| -> Result<bool, EvalError> {
-                    t.eval(env, defs)?.as_bool().ok_or(EvalError::SortMismatch)
-                };
-                match op {
-                    Op::Add => {
-                        let mut acc = 0i64;
-                        for a in args {
-                            acc = acc.checked_add(int(a)?).ok_or(EvalError::Overflow)?;
-                        }
-                        Ok(Value::Int(acc))
-                    }
-                    Op::Sub => {
-                        let mut acc = int(&args[0])?;
-                        for a in &args[1..] {
-                            acc = acc.checked_sub(int(a)?).ok_or(EvalError::Overflow)?;
-                        }
-                        Ok(Value::Int(acc))
-                    }
-                    Op::Neg => Ok(Value::Int(
-                        int(&args[0])?.checked_neg().ok_or(EvalError::Overflow)?,
-                    )),
-                    Op::Mul => {
-                        let mut acc = 1i64;
-                        for a in args {
-                            acc = acc.checked_mul(int(a)?).ok_or(EvalError::Overflow)?;
-                        }
-                        Ok(Value::Int(acc))
-                    }
-                    Op::Ite => {
-                        if boolean(&args[0])? {
-                            args[1].eval(env, defs)
-                        } else {
-                            args[2].eval(env, defs)
-                        }
-                    }
-                    Op::Eq => {
-                        let a = args[0].eval(env, defs)?;
-                        let b = args[1].eval(env, defs)?;
-                        if a.sort() != b.sort() {
-                            return Err(EvalError::SortMismatch);
-                        }
-                        Ok(Value::Bool(a == b))
-                    }
-                    Op::Le => Ok(Value::Bool(int(&args[0])? <= int(&args[1])?)),
-                    Op::Lt => Ok(Value::Bool(int(&args[0])? < int(&args[1])?)),
-                    Op::Ge => Ok(Value::Bool(int(&args[0])? >= int(&args[1])?)),
-                    Op::Gt => Ok(Value::Bool(int(&args[0])? > int(&args[1])?)),
-                    Op::And => {
-                        for a in args {
-                            if !boolean(a)? {
-                                return Ok(Value::Bool(false));
-                            }
-                        }
-                        Ok(Value::Bool(true))
-                    }
-                    Op::Or => {
-                        for a in args {
-                            if boolean(a)? {
-                                return Ok(Value::Bool(true));
-                            }
-                        }
-                        Ok(Value::Bool(false))
-                    }
-                    Op::Not => Ok(Value::Bool(!boolean(&args[0])?)),
-                    Op::Implies => Ok(Value::Bool(!boolean(&args[0])? || boolean(&args[1])?)),
-                    Op::Apply(f, _) => {
-                        let def = defs.get(*f).ok_or(EvalError::UnknownFunction(*f))?;
-                        if def.params.len() != args.len() {
-                            return Err(EvalError::SortMismatch);
-                        }
-                        let mut inner = Env::new();
-                        for ((p, _), a) in def.params.iter().zip(args) {
-                            inner.bind(*p, a.eval(env, defs)?);
-                        }
-                        def.body.eval(&inner, defs)
-                    }
-                }
-            }
+            TermNode::App(op, args) => eval_app(op, args.len(), defs, |k| args[k].eval(env, defs)),
         }
     }
+}
+
+/// The semantics of one application of `op` to `arity` arguments: the single
+/// definition of operator evaluation. `arg(k)` yields the value of argument
+/// `k` and is called lazily, in argument order, only for the arguments the
+/// operator needs (`ite` reads one branch, `and`/`or`/`=>` short-circuit),
+/// so an argument that would fail does not fail the application when it is
+/// not read. [`Term::eval`] passes recursive evaluation; a bottom-up
+/// enumerator can pass "the stored value of child `k` on this example".
+///
+/// # Errors
+///
+/// Errors from `arg` propagate; checked-arithmetic overflow, ill-sorted
+/// arguments and unknown or misapplied functions raise an [`EvalError`]
+/// converted into `E`.
+///
+/// # Examples
+///
+/// ```
+/// use sygus_ast::{eval_app, Definitions, EvalError, Op, Value};
+/// let defs = Definitions::new();
+/// let args = [Value::Int(2), Value::Int(3)];
+/// let sum = eval_app::<EvalError>(&Op::Add, 2, &defs, |k| Ok(args[k]));
+/// assert_eq!(sum, Ok(Value::Int(5)));
+/// // `ite` never reads the branch it does not take.
+/// let pick = eval_app::<EvalError>(&Op::Ite, 3, &defs, |k| match k {
+///     0 => Ok(Value::Bool(true)),
+///     1 => Ok(Value::Int(7)),
+///     _ => Err(EvalError::Overflow),
+/// });
+/// assert_eq!(pick, Ok(Value::Int(7)));
+/// ```
+pub fn eval_app<E: From<EvalError>>(
+    op: &Op,
+    arity: usize,
+    defs: &Definitions,
+    mut arg: impl FnMut(usize) -> Result<Value, E>,
+) -> Result<Value, E> {
+    match op {
+        Op::Add => {
+            let mut acc = 0i64;
+            for k in 0..arity {
+                acc = acc
+                    .checked_add(int_of(arg(k))?)
+                    .ok_or(EvalError::Overflow)?;
+            }
+            Ok(Value::Int(acc))
+        }
+        Op::Sub => {
+            let mut acc = int_of(arg(0))?;
+            for k in 1..arity {
+                acc = acc
+                    .checked_sub(int_of(arg(k))?)
+                    .ok_or(EvalError::Overflow)?;
+            }
+            Ok(Value::Int(acc))
+        }
+        Op::Neg => Ok(Value::Int(
+            int_of(arg(0))?.checked_neg().ok_or(EvalError::Overflow)?,
+        )),
+        Op::Mul => {
+            let mut acc = 1i64;
+            for k in 0..arity {
+                acc = acc
+                    .checked_mul(int_of(arg(k))?)
+                    .ok_or(EvalError::Overflow)?;
+            }
+            Ok(Value::Int(acc))
+        }
+        Op::Ite => {
+            if bool_of(arg(0))? {
+                arg(1)
+            } else {
+                arg(2)
+            }
+        }
+        Op::Eq => {
+            let a = arg(0)?;
+            let b = arg(1)?;
+            if a.sort() != b.sort() {
+                return Err(EvalError::SortMismatch.into());
+            }
+            Ok(Value::Bool(a == b))
+        }
+        Op::Le => Ok(Value::Bool(int_of(arg(0))? <= int_of(arg(1))?)),
+        Op::Lt => Ok(Value::Bool(int_of(arg(0))? < int_of(arg(1))?)),
+        Op::Ge => Ok(Value::Bool(int_of(arg(0))? >= int_of(arg(1))?)),
+        Op::Gt => Ok(Value::Bool(int_of(arg(0))? > int_of(arg(1))?)),
+        Op::And => {
+            for k in 0..arity {
+                if !bool_of(arg(k))? {
+                    return Ok(Value::Bool(false));
+                }
+            }
+            Ok(Value::Bool(true))
+        }
+        Op::Or => {
+            for k in 0..arity {
+                if bool_of(arg(k))? {
+                    return Ok(Value::Bool(true));
+                }
+            }
+            Ok(Value::Bool(false))
+        }
+        Op::Not => Ok(Value::Bool(!bool_of(arg(0))?)),
+        Op::Implies => Ok(Value::Bool(!bool_of(arg(0))? || bool_of(arg(1))?)),
+        Op::Apply(f, _) => {
+            let def = defs.get(*f).ok_or(EvalError::UnknownFunction(*f))?;
+            if def.params.len() != arity {
+                return Err(EvalError::SortMismatch.into());
+            }
+            let mut inner = Env::new();
+            for (k, (p, _)) in def.params.iter().enumerate() {
+                inner.bind(*p, arg(k)?);
+            }
+            Ok(def.body.eval(&inner, defs)?)
+        }
+    }
+}
+
+/// An integer argument value, or a sort error.
+fn int_of<E: From<EvalError>>(v: Result<Value, E>) -> Result<i64, E> {
+    Ok(v?.as_int().ok_or(EvalError::SortMismatch)?)
+}
+
+/// A boolean argument value, or a sort error.
+fn bool_of<E: From<EvalError>>(v: Result<Value, E>) -> Result<bool, E> {
+    Ok(v?.as_bool().ok_or(EvalError::SortMismatch)?)
 }
 
 /// Sort rules for a single application node, given the (already checked)

@@ -64,7 +64,10 @@ pub enum Stage {
     FixedHeight,
     /// One driver-level enumeration step (backend invocation) at a node.
     Enumerate,
-    /// One bottom-up enumeration CEGIS round (EUSolver-style backend).
+    /// One bottom-up enumeration CEGIS round: layer construction and the
+    /// candidate checks against the round's examples, in the EUSolver-style
+    /// backend and on the fixed-height engine's concrete path (nested in
+    /// its [`Stage::FixedHeight`] span).
     BottomUp,
     /// One SMT query (sat/unsat/validity check) in the substrate.
     Smt,

@@ -353,6 +353,9 @@ impl FixedHeightSolver {
     /// Height-bounded concrete enumeration (CEGIS with the bottom-up
     /// enumerator): finds a term of height ≤ `height` consistent with the
     /// shared counterexample pool, verifying and growing the pool as usual.
+    /// The enumerator runs under the request's budget and bounds the height
+    /// itself; each round's layer construction and candidate checks are one
+    /// [`Stage::BottomUp`](sygus_ast::trace::Stage::BottomUp) span.
     fn solve_custom_by_enumeration(
         &self,
         problem: &Problem,
@@ -363,6 +366,7 @@ impl FixedHeightSolver {
         use enum_synth::{EnumConfig, TermEnumerator};
         let sf = &problem.synth_fun;
         let spec = problem.spec();
+        let tracer = cfg.budget.tracer();
         {
             let mut pool = examples.lock();
             if pool.is_empty() {
@@ -375,6 +379,13 @@ impl FixedHeightSolver {
         let mut smt = new_session(cfg);
         // Full tree of height h has 2^h − 1 nodes; cap the size budget there.
         let max_size = ((1usize << height.min(6)) - 1).min(31);
+        let econfig = EnumConfig {
+            max_size,
+            max_height: Some(height),
+            constant_pool: enum_synth::constant_pool(problem, &EnumConfig::default()),
+            budget: cfg.budget.clone(),
+            ..EnumConfig::default()
+        };
         let mut rounds = 0;
         loop {
             if let Some(stop) = self.interrupted() {
@@ -382,28 +393,27 @@ impl FixedHeightSolver {
             }
             let _ = cfg.budget.charge_fuel(1);
             rounds += 1;
-            cfg.budget.tracer().metrics().bump("cegis.rounds");
-            cfg.budget.tracer().progress().note_cegis_round();
+            tracer.metrics().bump("cegis.rounds");
+            tracer.progress().note_cegis_round();
             if rounds > cfg.max_cegis_rounds {
                 return FixedHeightResult::Failed("CEGIS round limit".into());
             }
             let snapshot = examples.lock().clone();
-            let econfig = EnumConfig {
-                max_size,
-                constant_pool: enum_synth::constant_pool(problem, &EnumConfig::default()),
-                ..EnumConfig::default()
-            };
-            let mut en =
-                TermEnumerator::new(&sf.grammar, &problem.definitions, snapshot.clone(), econfig);
+            let search = tracer
+                .span(sygus_ast::trace::Stage::BottomUp)
+                .with_detail(|| format!("round={rounds} examples={}", snapshot.len()));
+            let mut en = TermEnumerator::new(
+                &sf.grammar,
+                &problem.definitions,
+                snapshot.clone(),
+                econfig.clone(),
+            );
             let mut work_defs = problem.definitions.clone();
             let mut candidate: Option<Term> = None;
             'search: for size in 1..=max_size {
-                if let Some(stop) = self.interrupted() {
-                    return stop;
-                }
-                for t in en.terms_of_size(size).to_vec() {
-                    if t.height() > height {
-                        continue;
+                for t in en.terms_of_size(size) {
+                    if let Some(stop) = self.interrupted() {
+                        return stop;
                     }
                     work_defs.define(
                         sf.name,
@@ -413,13 +423,16 @@ impl FixedHeightSolver {
                         .iter()
                         .all(|env| spec.eval(env, &work_defs) == Ok(Value::Bool(true)));
                     if ok {
-                        candidate = Some(t);
+                        candidate = Some(t.clone());
                         break 'search;
                     }
                 }
             }
+            drop(search);
             let Some(candidate) = candidate else {
-                return FixedHeightResult::NoSolution;
+                // An enumerator stopped by the budget is not an exhausted
+                // height.
+                return self.interrupted().unwrap_or(FixedHeightResult::NoSolution);
             };
             let formula = problem.verification_formula(&candidate);
             match smt.check_valid(&formula) {
@@ -434,7 +447,7 @@ impl FixedHeightSolver {
                         }
                         if !pool.contains(&env) {
                             pool.push(env);
-                            cfg.budget.tracer().progress().note_counterexample();
+                            tracer.progress().note_counterexample();
                         }
                     }
                     None => return FixedHeightResult::Failed("counterexample outside i64".into()),
@@ -757,6 +770,38 @@ mod tests {
             FixedHeightSolver::new(cfg).solve_at_height(&p, 1, &ex),
             FixedHeightResult::Timeout
         );
+    }
+
+    #[test]
+    fn concrete_enumeration_charges_the_request_fuel() {
+        // No height-3 term over {x, 1, +} reaches f(0) = 100, so an unlimited
+        // run exhausts the height; the kept terms of that search charge the
+        // request's fuel, so a small allowance stops it instead.
+        let p = parse_problem(
+            "(set-logic LIA)(synth-fun f ((x Int)) Int ((S Int (x 1 (+ S S)))))\
+             (declare-var x Int)(constraint (= (f x) (+ x 100)))(check-synth)",
+        )
+        .unwrap();
+        let unlimited = FixedHeightConfig::default();
+        let budget = unlimited.budget.clone();
+        let ex = ExamplePool::default();
+        assert_eq!(
+            FixedHeightSolver::new(unlimited).solve_at_height(&p, 3, &ex),
+            FixedHeightResult::NoSolution
+        );
+        let kept = budget.tracer().metrics().counter("enum.terms_kept");
+        assert!(kept > 10, "kept {kept}");
+        // One fuel unit for the round plus one per kept term.
+        assert_eq!(budget.fuel_spent(), 1 + kept);
+        let cfg = FixedHeightConfig {
+            budget: Budget::unlimited().with_fuel(10),
+            ..FixedHeightConfig::default()
+        };
+        let ex = ExamplePool::default();
+        match FixedHeightSolver::new(cfg).solve_at_height(&p, 3, &ex) {
+            FixedHeightResult::Failed(msg) => assert!(msg.contains("fuel"), "{msg}"),
+            other => panic!("expected the fuel error, got {other:?}"),
+        }
     }
 
     #[test]

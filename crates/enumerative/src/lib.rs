@@ -1,11 +1,14 @@
 //! `enum-synth`: an EUSolver-style enumerative SyGuS baseline — bottom-up
-//! size enumeration with observational-equivalence pruning
-//! ([`TermEnumerator`]), decision-tree unification divide-and-conquer
-//! ([`learn_decision_tree`]), and a CEGIS driver ([`BottomUpSolver`]).
+//! size enumeration with observational-equivalence pruning on signatures
+//! composed from the children's values ([`TermEnumerator`]), decision-tree
+//! unification divide-and-conquer ([`learn_decision_tree`]), and a CEGIS
+//! driver ([`BottomUpSolver`]).
 //!
-//! In the reproduction this crate plays two roles: the standalone "EUSolver"
-//! comparison point of Figures 10–13, and the pluggable enumeration backend
-//! of the Figure 16 ablation (EUSolver-backed DryadSynth).
+//! In the reproduction this crate plays three roles: the standalone
+//! "EUSolver" comparison point of Figures 10–13, the pluggable enumeration
+//! backend of the Figure 16 ablation (EUSolver-backed DryadSynth), and the
+//! height-bounded concrete search of the fixed-height engine on custom
+//! grammars.
 
 #![warn(missing_docs)]
 
