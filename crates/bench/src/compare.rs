@@ -22,7 +22,11 @@
 //!   totals) with an absolute floor in counter units, so a search-strategy
 //!   regression is caught even on hardware where wall times are noisy.
 //!   The gate is skipped per run when either side lacks search data (e.g.
-//!   a baseline written before the search-analytics layer existed).
+//!   a baseline written before the search-analytics layer existed). The
+//!   engine-specific counters (pivots, relaxations) gate only when both
+//!   documents name the same `theory` setting: switching the engine moves
+//!   work between them by design. A document without the field gates them
+//!   as before.
 //!
 //! With [`CompareConfig::solved_only`] the time gates are reported but do
 //! not fail the comparison — the mode for cross-machine CI gates, where
@@ -65,6 +69,9 @@ impl BenchRun {
 pub struct BenchDoc {
     /// The document's schema version field.
     pub version: i64,
+    /// The theory-engine setting the runs used (`auto`, `simplex`); `None`
+    /// for documents that do not record it.
+    pub theory: Option<String>,
     /// Every run in document order.
     pub runs: Vec<BenchRun>,
 }
@@ -119,7 +126,12 @@ impl BenchDoc {
                 search: parse_counter_obj(run.get("search")),
             });
         }
-        Ok(BenchDoc { version, runs })
+        let theory = doc.get("theory").and_then(Json::as_str).map(str::to_owned);
+        Ok(BenchDoc {
+            version,
+            theory,
+            runs,
+        })
     }
 
     /// Parses a `dryadsynthd` audit log (`--audit`, one JSON object per
@@ -174,6 +186,7 @@ impl BenchDoc {
         }
         Ok(BenchDoc {
             version: dryadsynth::REPORT_VERSION as i64,
+            theory: None,
             runs,
         })
     }
@@ -202,6 +215,7 @@ impl BenchDoc {
     pub fn from_records(records: &[RunRecord]) -> BenchDoc {
         BenchDoc {
             version: dryadsynth::REPORT_VERSION as i64,
+            theory: None,
             runs: records
                 .iter()
                 .map(|r| BenchRun {
@@ -240,13 +254,12 @@ fn parse_counter_obj(obj: Option<&Json>) -> BTreeMap<String, u64> {
 /// The search counters the comparison gates on: deterministic, monotone
 /// work measures. Deliberately excludes derived sums (`lbd_sum`), gauges
 /// (`db_clauses`), and bookkeeping (`intervals_total`).
-const GATED_SEARCH_METRICS: [&str; 5] = [
-    "conflicts_total",
-    "decisions_total",
-    "propagations_total",
-    "simplex_pivots_total",
-    "dl_relaxations_total",
-];
+const GATED_SEARCH_METRICS: [&str; 3] =
+    ["conflicts_total", "decisions_total", "propagations_total"];
+
+/// Work counters of one theory engine each, gated only between documents
+/// that used the same engine setting.
+const GATED_ENGINE_METRICS: [&str; 2] = ["simplex_pivots_total", "dl_relaxations_total"];
 
 /// Thresholds and mode for a comparison.
 #[derive(Clone, Copy, Debug)]
@@ -305,7 +318,9 @@ pub struct CompareReport {
     /// Per-stage totals slower than the thresholds allow.
     pub stage_regressions: Vec<TimeDelta>,
     /// Search work counters that grew past the thresholds
-    /// ([`GATED_SEARCH_METRICS`] only; `old`/`new` carry counter values).
+    /// ([`GATED_SEARCH_METRICS`], plus [`GATED_ENGINE_METRICS`] between
+    /// documents of the same engine setting; `old`/`new` carry counter
+    /// values).
     pub search_regressions: Vec<TimeDelta>,
     /// Whether the time/stage gates participate in [`Self::has_regressions`].
     pub gate_times: bool,
@@ -388,6 +403,15 @@ pub fn compare(old: &BenchDoc, new: &BenchDoc, cfg: &CompareConfig) -> CompareRe
         gate_times: !cfg.solved_only,
         ..CompareReport::default()
     };
+    let same_engine = match (&old.theory, &new.theory) {
+        (Some(a), Some(b)) => a == b,
+        _ => true,
+    };
+    let engine_metrics: &[&str] = if same_engine {
+        &GATED_ENGINE_METRICS
+    } else {
+        &[]
+    };
     // A slowdown must clear both the relative and the absolute bar.
     let regressed = |old_s: f64, new_s: f64| -> bool {
         new_s > old_s * (1.0 + cfg.noise_frac) && new_s - old_s > cfg.min_seconds
@@ -441,7 +465,7 @@ pub fn compare(old: &BenchDoc, new: &BenchDoc, cfg: &CompareConfig) -> CompareRe
         // before the analytics layer (or a run that never hit the SMT
         // core) contributes nothing rather than a spurious zero baseline.
         if !old_run.search.is_empty() && !new_run.search.is_empty() {
-            for metric in GATED_SEARCH_METRICS {
+            for &metric in GATED_SEARCH_METRICS.iter().chain(engine_metrics) {
                 let old_v = old_run.search.get(metric).copied().unwrap_or(0);
                 let new_v = new_run.search.get(metric).copied().unwrap_or(0);
                 if new_v as f64 > old_v as f64 * (1.0 + cfg.noise_frac)
@@ -490,7 +514,11 @@ mod tests {
     }
 
     fn doc(runs: Vec<BenchRun>) -> BenchDoc {
-        BenchDoc { version: 3, runs }
+        BenchDoc {
+            version: 3,
+            theory: None,
+            runs,
+        }
     }
 
     #[test]
@@ -594,6 +622,10 @@ mod tests {
         let text = crate::observability_json(&records);
         let parsed = BenchDoc::parse(&text).unwrap();
         assert_eq!(parsed.version, dryadsynth::REPORT_VERSION as i64);
+        assert_eq!(
+            parsed.theory.as_deref(),
+            Some(smtkit::process_default_theory().as_str())
+        );
         assert_eq!(parsed.runs, BenchDoc::from_records(&records).runs);
         assert_eq!(parsed.runs[0].stage_micros["smt"], 1234);
         // The search totals survive the round trip with the prefix stripped.
@@ -634,6 +666,94 @@ mod tests {
         let new = doc(vec![with_search(run("b1", "A", true, 1.0, 0), 1_000_000)]);
         let report = compare(&old, &new, &CompareConfig::default());
         assert!(!report.has_regressions(), "{}", report.render());
+    }
+
+    /// One run whose search block carries the shared counters and both
+    /// engines' work counters.
+    fn engine_run(conflicts: u64, pivots: u64, relaxations: u64) -> BenchRun {
+        let mut r = with_search(run("b1", "A", true, 1.0, 0), conflicts);
+        r.search.insert("simplex_pivots_total".to_owned(), pivots);
+        r.search
+            .insert("dl_relaxations_total".to_owned(), relaxations);
+        r
+    }
+
+    fn doc_on(theory: Option<&str>, runs: Vec<BenchRun>) -> BenchDoc {
+        BenchDoc {
+            theory: theory.map(str::to_owned),
+            ..doc(runs)
+        }
+    }
+
+    fn solved_only() -> CompareConfig {
+        CompareConfig {
+            solved_only: true,
+            ..CompareConfig::default()
+        }
+    }
+
+    fn regression_keys(report: &CompareReport) -> Vec<&str> {
+        report
+            .search_regressions
+            .iter()
+            .map(|d| d.key.as_str())
+            .collect()
+    }
+
+    #[test]
+    fn engine_counters_do_not_gate_across_engine_settings() {
+        // Dispatching difference logic moves work from pivots to
+        // relaxations; that is the switch working, not a regression.
+        let old = doc_on(Some("simplex"), vec![engine_run(10_000, 5_000, 0)]);
+        let new = doc_on(Some("auto"), vec![engine_run(10_000, 5_000, 1_585)]);
+        let report = compare(&old, &new, &solved_only());
+        assert!(!report.has_regressions(), "{}", report.render());
+    }
+
+    #[test]
+    fn shared_counters_gate_across_engine_settings() {
+        let old = doc_on(Some("simplex"), vec![engine_run(10_000, 5_000, 0)]);
+        let new = doc_on(Some("auto"), vec![engine_run(40_000, 5_000, 9_000)]);
+        let report = compare(&old, &new, &solved_only());
+        assert_eq!(
+            regression_keys(&report),
+            ["A/b1:conflicts_total", "A/b1:decisions_total"]
+        );
+    }
+
+    #[test]
+    fn engine_counters_gate_under_the_same_engine_setting() {
+        let old = doc_on(Some("auto"), vec![engine_run(10_000, 5_000, 0)]);
+        let new = doc_on(Some("auto"), vec![engine_run(10_000, 20_000, 1_585)]);
+        let report = compare(&old, &new, &solved_only());
+        assert_eq!(
+            regression_keys(&report),
+            ["A/b1:simplex_pivots_total", "A/b1:dl_relaxations_total"]
+        );
+    }
+
+    #[test]
+    fn engine_counters_gate_when_a_document_lacks_the_setting() {
+        let settings = [(None, Some("auto")), (Some("simplex"), None), (None, None)];
+        for (old_theory, new_theory) in settings {
+            let old = doc_on(old_theory, vec![engine_run(10_000, 5_000, 0)]);
+            let new = doc_on(new_theory, vec![engine_run(10_000, 5_000, 1_585)]);
+            let report = compare(&old, &new, &solved_only());
+            assert_eq!(
+                regression_keys(&report),
+                ["A/b1:dl_relaxations_total"],
+                "{}",
+                report.render()
+            );
+        }
+    }
+
+    #[test]
+    fn parse_reads_the_theory_setting() {
+        let with = BenchDoc::parse(r#"{"version": 6, "theory": "simplex", "runs": []}"#).unwrap();
+        assert_eq!(with.theory.as_deref(), Some("simplex"));
+        let without = BenchDoc::parse(r#"{"version": 6, "runs": []}"#).unwrap();
+        assert_eq!(without.theory, None);
     }
 
     #[test]

@@ -128,7 +128,11 @@ mod tests {
     }
 
     fn doc(runs: Vec<BenchRun>) -> BenchDoc {
-        BenchDoc { version: 5, runs }
+        BenchDoc {
+            version: 5,
+            theory: None,
+            runs,
+        }
     }
 
     #[test]

@@ -479,7 +479,9 @@ pub fn to_csv(records: &[RunRecord]) -> String {
 /// The `BENCH_observability.json` emitter: the whole run matrix as one
 /// versioned JSON document (schema version [`dryadsynth::REPORT_VERSION`]),
 /// with per-benchmark outcome, wall time, pseudo-log bucket indices, and
-/// per-stage timing totals.
+/// per-stage timing totals. The document's `theory` field names the
+/// process's theory-engine setting (`auto` or `simplex`), so `bench compare`
+/// can tell an engine switch from a search regression.
 pub fn observability_json(records: &[RunRecord]) -> String {
     let runs: Vec<Json> = records
         .iter()
@@ -529,6 +531,7 @@ pub fn observability_json(records: &[RunRecord]) -> String {
         .collect();
     Json::obj([
         ("version", Json::from(dryadsynth::REPORT_VERSION)),
+        ("theory", Json::str(smtkit::process_default_theory().as_str())),
         ("runs", Json::Arr(runs)),
     ])
     .to_string()
@@ -619,6 +622,10 @@ mod tests {
         assert_eq!(
             doc.get("version").and_then(Json::as_i64),
             Some(dryadsynth::REPORT_VERSION as i64)
+        );
+        assert_eq!(
+            doc.get("theory").and_then(Json::as_str),
+            Some(smtkit::process_default_theory().as_str())
         );
         let runs = doc.get("runs").and_then(Json::as_arr).unwrap();
         assert_eq!(runs.len(), 6);

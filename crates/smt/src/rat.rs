@@ -32,6 +32,9 @@ impl Rat {
     /// Panics if `den` is zero.
     pub fn new(num: BigInt, den: BigInt) -> Rat {
         assert!(!den.is_zero(), "rational with zero denominator");
+        if den == BigInt::one() {
+            return Rat { num, den };
+        }
         if num.is_zero() {
             return Rat {
                 num: BigInt::zero(),
@@ -39,8 +42,11 @@ impl Rat {
             };
         }
         let g = num.gcd(&den);
-        let mut num = &num / &g;
-        let mut den = &den / &g;
+        let (mut num, mut den) = if g == BigInt::one() {
+            (num, den)
+        } else {
+            (&num / &g, &den / &g)
+        };
         if den.is_negative() {
             num = -num;
             den = -den;
@@ -135,23 +141,42 @@ impl From<i64> for Rat {
     }
 }
 
+impl Rat {
+    /// `self + other`, or `self - other` when `subtract`.
+    fn add_signed(&self, other: &Rat, subtract: bool) -> Rat {
+        let sum = |a: &BigInt, b: &BigInt| if subtract { a - b } else { a + b };
+        // With an integer operand `c`, `a/d ± c` and `c ± a/d` need no
+        // normalization: `gcd(a ± c·d, d) = gcd(a, d) = 1`.
+        if other.is_integer() {
+            Rat {
+                num: sum(&self.num, &(&other.num * &self.den)),
+                den: self.den.clone(),
+            }
+        } else if self.is_integer() {
+            Rat {
+                num: sum(&(&self.num * &other.den), &other.num),
+                den: other.den.clone(),
+            }
+        } else {
+            Rat::new(
+                sum(&(&self.num * &other.den), &(&other.num * &self.den)),
+                &self.den * &other.den,
+            )
+        }
+    }
+}
+
 impl Add for &Rat {
     type Output = Rat;
     fn add(self, other: &Rat) -> Rat {
-        Rat::new(
-            &(&self.num * &other.den) + &(&other.num * &self.den),
-            &self.den * &other.den,
-        )
+        self.add_signed(other, false)
     }
 }
 
 impl Sub for &Rat {
     type Output = Rat;
     fn sub(self, other: &Rat) -> Rat {
-        Rat::new(
-            &(&self.num * &other.den) - &(&other.num * &self.den),
-            &self.den * &other.den,
-        )
+        self.add_signed(other, true)
     }
 }
 
@@ -223,6 +248,9 @@ impl PartialOrd for Rat {
 
 impl Ord for Rat {
     fn cmp(&self, other: &Rat) -> Ordering {
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
         // a/b vs c/d with b,d > 0: compare a*d vs c*b.
         (&self.num * &other.den).cmp(&(&other.num * &self.den))
     }

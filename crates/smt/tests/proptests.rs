@@ -71,6 +71,181 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// BigInt across its two representations
+// ---------------------------------------------------------------------------
+//
+// A value in `i64` is stored inline and everything else in limbs, so the
+// operands below straddle ±2^63 (the inline edge) and ±2^64 (the one-limb
+// edge), and products of two of them give multi-limb values.
+
+/// `i128` operands: `i64` draws, full-width draws, and small offsets around
+/// the representation edges.
+fn wide_i128() -> impl Strategy<Value = i128> {
+    const EDGES: [i128; 6] = [
+        1 << 63,
+        -(1 << 63),
+        1 << 64,
+        -(1 << 64),
+        i128::MAX,
+        i128::MIN,
+    ];
+    prop_oneof![
+        any::<i64>().prop_map(i128::from),
+        (any::<i64>(), any::<u64>()).prop_map(|(hi, lo)| (i128::from(hi) << 64) | i128::from(lo)),
+        (0..EDGES.len(), -3i64..=3).prop_map(|(k, off)| EDGES[k].saturating_add(i128::from(off))),
+    ]
+}
+
+/// Values of up to four limbs: an `i128` operand, or a product of two.
+fn multi_limb() -> impl Strategy<Value = BigInt> {
+    prop_oneof![
+        wide_i128().prop_map(BigInt::from),
+        (wide_i128(), wide_i128()).prop_map(|(a, b)| &BigInt::from(a) * &BigInt::from(b)),
+    ]
+}
+
+fn hash_of(v: &BigInt) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// `n = q·d + r` with `|r| < |d|` and `r` carrying the sign of `n`.
+fn check_truncated_division(n: &BigInt, d: &BigInt) -> Result<(), TestCaseError> {
+    let (q, r) = n.div_rem(d);
+    prop_assert_eq!(&(&q * d) + &r, n.clone());
+    prop_assert!(r.abs() < d.abs());
+    prop_assert!(r.is_zero() || r.is_negative() == n.is_negative());
+    let inexact = !r.is_zero();
+    let floor = if inexact && n.is_negative() != d.is_negative() {
+        &q - &BigInt::one()
+    } else {
+        q.clone()
+    };
+    let ceil = if inexact && n.is_negative() == d.is_negative() {
+        &q + &BigInt::one()
+    } else {
+        q
+    };
+    prop_assert_eq!(n.div_floor(d), floor);
+    prop_assert_eq!(n.div_ceil(d), ceil);
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn bigint_ring_ops_match_i128_across_the_edges(a in wide_i128(), b in wide_i128()) {
+        let (x, y) = (BigInt::from(a), BigInt::from(b));
+        let sum = &x + &y;
+        let diff = &x - &y;
+        let prod = &x * &y;
+        if let Some(s) = a.checked_add(b) {
+            prop_assert_eq!(&sum, &BigInt::from(s));
+        }
+        if let Some(d) = a.checked_sub(b) {
+            prop_assert_eq!(&diff, &BigInt::from(d));
+        }
+        if let Some(p) = a.checked_mul(b) {
+            prop_assert_eq!(&prod, &BigInt::from(p));
+        }
+        // Where the result leaves i128, check it through the inverse.
+        prop_assert_eq!(&(&sum - &y), &x);
+        prop_assert_eq!(&(&diff + &y), &x);
+        if b != 0 {
+            prop_assert_eq!(prod.div_rem(&y), (x.clone(), BigInt::zero()));
+        }
+        prop_assert_eq!(x.cmp(&y), a.cmp(&b));
+        prop_assert_eq!(sum.cmp(&x), b.cmp(&0));
+    }
+
+    #[test]
+    fn bigint_unary_ops_match_i128_across_the_edges(a in wide_i128()) {
+        let x = BigInt::from(a);
+        prop_assert_eq!(x.to_i64(), i64::try_from(a).ok());
+        prop_assert_eq!(x.bits(), 128 - a.unsigned_abs().leading_zeros() as usize);
+        prop_assert_eq!(x.to_string(), a.to_string());
+        prop_assert_eq!(x.signum(), a.signum() as i32);
+        match a.checked_neg() {
+            Some(n) => {
+                prop_assert_eq!(-&x, BigInt::from(n));
+                prop_assert_eq!(x.abs(), BigInt::from(a.abs()));
+            }
+            None => {
+                // i128::MIN: its negation and magnitude is 2^127.
+                let two_127 = "170141183460469231731687303715884105728";
+                prop_assert_eq!((-&x).to_string(), two_127);
+                prop_assert_eq!(x.abs().to_string(), two_127);
+            }
+        }
+        prop_assert_eq!(-(-x.clone()), x);
+    }
+
+    #[test]
+    fn bigint_division_matches_i128_across_the_edges(
+        a in wide_i128(),
+        b in wide_i128().prop_filter("nonzero", |b| *b != 0),
+    ) {
+        let (x, y) = (BigInt::from(a), BigInt::from(b));
+        if let (Some(q), Some(r)) = (a.checked_div(b), a.checked_rem(b)) {
+            prop_assert_eq!(x.div_rem(&y), (BigInt::from(q), BigInt::from(r)));
+            let adjust = i128::from(r != 0 && (r < 0) != (b < 0));
+            prop_assert_eq!(x.div_floor(&y), BigInt::from(q - adjust));
+            let adjust = i128::from(r != 0 && (r < 0) == (b < 0));
+            prop_assert_eq!(x.div_ceil(&y), BigInt::from(q + adjust));
+        }
+        check_truncated_division(&x, &y)?;
+    }
+
+    #[test]
+    fn bigint_gcd_matches_u128_euclid(a in wide_i128(), b in wide_i128()) {
+        let (mut m, mut n) = (a.unsigned_abs(), b.unsigned_abs());
+        while n != 0 {
+            (m, n) = (n, m % n);
+        }
+        prop_assert_eq!(BigInt::from(a).gcd(&BigInt::from(b)).to_string(), m.to_string());
+    }
+
+    #[test]
+    fn bigint_multi_limb_division_reconstructs(
+        n in multi_limb(),
+        d in multi_limb().prop_filter("nonzero", |d| !d.is_zero()),
+    ) {
+        check_truncated_division(&n, &d)?;
+        let g = n.gcd(&d);
+        prop_assert!(!g.is_negative());
+        prop_assert!((&n % &g).is_zero() && (&d % &g).is_zero());
+    }
+
+    #[test]
+    fn bigint_round_trip_through_limbs_is_canonical(
+        v in any::<i64>(),
+        big in multi_limb().prop_filter("outside i64", |b| b.to_i64().is_none()),
+        probe in any::<i64>(),
+    ) {
+        let x = BigInt::from(v);
+        let back = [
+            &(&x + &big) - &big,
+            &(&x - &big) + &big,
+            &(&x * &big) / &big,
+            &-(-(&x * &big)) / &big,
+        ];
+        for y in &back {
+            prop_assert_eq!(y, &x);
+            prop_assert_eq!(hash_of(y), hash_of(&x));
+            prop_assert_eq!(y.to_i64(), Some(v));
+            prop_assert_eq!(y.cmp(&BigInt::from(probe)), v.cmp(&probe));
+            prop_assert_eq!(y.cmp(&big), x.cmp(&big));
+        }
+    }
+}
+
+#[test]
+fn bigint_stays_within_four_words() {
+    assert!(std::mem::size_of::<BigInt>() <= 32);
+}
+
+// ---------------------------------------------------------------------------
 // Rat laws
 // ---------------------------------------------------------------------------
 
@@ -105,6 +280,30 @@ proptest! {
     #[test]
     fn rat_recip_of_nonzero(a in rat_strategy().prop_filter("nonzero", |a| !a.is_zero())) {
         prop_assert_eq!(&a * &a.recip(), Rat::one());
+    }
+
+    #[test]
+    fn rat_integer_shortcuts_match_normalization(
+        i in any::<i64>(),
+        j in any::<i64>(),
+        a in rat_strategy(),
+    ) {
+        // Every result must equal the one the general constructor
+        // normalizes from the cross-multiplied parts.
+        let general = |num: BigInt, den: &BigInt| Rat::new(num, den.clone());
+        let (ri, rj) = (Rat::from(i), Rat::from(j));
+        let (bi, bj) = (BigInt::from(i), BigInt::from(j));
+        let (n, d) = (a.num(), a.den());
+        prop_assert_eq!(&ri + &rj, general(&bi + &bj, &BigInt::one()));
+        prop_assert_eq!(&ri - &rj, general(&bi - &bj, &BigInt::one()));
+        prop_assert_eq!(&ri * &rj, general(&bi * &bj, &BigInt::one()));
+        prop_assert_eq!(&ri + &a, general(&(&bi * d) + n, d));
+        prop_assert_eq!(&a + &ri, general(n + &(&bi * d), d));
+        prop_assert_eq!(&ri - &a, general(&(&bi * d) - n, d));
+        prop_assert_eq!(&a - &ri, general(n - &(&bi * d), d));
+        prop_assert_eq!(&ri * &a, general(&bi * n, d));
+        prop_assert_eq!(ri.cmp(&rj), i.cmp(&j));
+        prop_assert_eq!(ri.cmp(&a), (&bi * d).cmp(n));
     }
 }
 
